@@ -1,5 +1,6 @@
 #include "server/service.h"
 
+#include <mutex>
 #include <utility>
 
 #include "common/check.h"
@@ -51,7 +52,7 @@ QueryService::QueryService(ServiceOptions options)
 Result<int> QueryService::AddTreeXml(const std::string& xml) {
   Tree tree;
   {
-    std::lock_guard<std::mutex> lock(parse_mu_);
+    std::unique_lock<std::mutex> lock = plan_cache_.LockAlphabets();
     XPTC_ASSIGN_OR_RETURN(tree, ParseXml(xml, &alphabet_));
   }
   return AddTree(std::make_shared<const Tree>(std::move(tree)));
@@ -63,12 +64,6 @@ int QueryService::AddTree(std::shared_ptr<const Tree> tree) {
   const int id = batch_.AddTree(std::move(tree));
   for (auto& row : engines_) row.resize(trees_.size());
   return id;
-}
-
-Result<PlanCache::CompiledQuery> QueryService::ParseLocked(
-    const std::string& text) {
-  std::lock_guard<std::mutex> lock(parse_mu_);
-  return plan_cache_.ParseCompiled(text, &alphabet_);
 }
 
 exec::ExecEngine* QueryService::EngineFor(int worker, int tree_id) {
@@ -261,7 +256,8 @@ ServiceResponse QueryService::HandleQuery(const ServiceRequest& req,
     Metrics().bad_requests.Inc();
     return resp;
   }
-  Result<PlanCache::CompiledQuery> compiled = ParseLocked(req.queries[0]);
+  Result<PlanCache::CompiledQuery> compiled =
+      plan_cache_.ParseCompiled(req.queries[0], &alphabet_);
   if (!compiled.ok()) {
     Metrics().bad_requests.Inc();
     return ErrorResponse(req, RespCode::kBadRequest,
@@ -347,7 +343,8 @@ ServiceResponse QueryService::HandleBatch(const ServiceRequest& req,
   std::vector<std::shared_ptr<const exec::Program>> programs;
   programs.reserve(req.queries.size());
   for (size_t q = 0; q < req.queries.size(); ++q) {
-    Result<PlanCache::CompiledQuery> compiled = ParseLocked(req.queries[q]);
+    Result<PlanCache::CompiledQuery> compiled =
+        plan_cache_.ParseCompiled(req.queries[q], &alphabet_);
     if (!compiled.ok()) {
       Metrics().bad_requests.Inc();
       return ErrorResponse(req, RespCode::kBadRequest,
@@ -400,7 +397,10 @@ ServiceResponse QueryService::HandleExplain(const ServiceRequest& req) {
       return resp;
     }
     // Explain runs its whole pipeline (own alphabet, oracle cross-check)
-    // from an XML document, so corpus trees travel as compact XML.
+    // from an XML document, so corpus trees travel as compact XML. Label
+    // names are read under the parser's lock: a concurrent query naming a
+    // new label grows the alphabet's name table.
+    std::unique_lock<std::mutex> lock = plan_cache_.LockAlphabets();
     options.xml = testing::CompactXml(tree(tree_ids[0]), alphabet_);
   } else {
     options.gen_nodes = req.explain_nodes;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -41,11 +40,13 @@ struct ServiceOptions {
 /// (corpus is fixed at serve time, like `BatchEngine::AddTree`). `Handle`
 /// may then be called concurrently from any number of threads as long as
 /// no two concurrent calls share a `worker` id — the contract a worker
-/// pool satisfies by construction. The single shared `Alphabet` is not
-/// thread-safe; every parse is serialised on one mutex (cache hits do not
-/// touch the alphabet's intern table mutably, but `PlanCache::Parse` has
-/// no such guarantee, so the lock covers the whole call — misses compile
-/// once per text and hits are one hash lookup, so the section is short).
+/// pool satisfies by construction. Query compiles run concurrently: the
+/// `PlanCache` is thread-safe and holds its own lock only around the
+/// parser, the one step that mutates the shared `Alphabet` (interning a
+/// label the corpus has never seen). Every other alphabet access at serve
+/// time — the explain path reading label names, `AddTreeXml` — takes that
+/// same lock (`PlanCache::LockAlphabets`), so simplification, interning,
+/// lowering and the superoptimizer of cold plans overlap across workers.
 class QueryService {
  public:
   explicit QueryService(ServiceOptions options = ServiceOptions{});
@@ -61,8 +62,8 @@ class QueryService {
   int num_trees() const { return batch_.num_trees(); }
   int num_workers() const { return num_workers_; }
   /// The alphabet corpus trees and query texts are interned against.
-  /// Callers building trees directly must intern labels through it —
-  /// under the same discipline as `Handle` (no concurrent parses).
+  /// Callers building trees directly must intern labels through it
+  /// before serving starts (`Handle` parses against it concurrently).
   Alphabet* alphabet() { return &alphabet_; }
   const Tree& tree(int id) const {
     return *trees_[static_cast<size_t>(id)];
@@ -102,8 +103,6 @@ class QueryService {
   /// kUnknownTree.
   Status ResolveTrees(const ServiceRequest& req, std::vector<int>* out,
                       ServiceResponse* resp);
-  /// Parse + plan-cache under the alphabet lock.
-  Result<PlanCache::CompiledQuery> ParseLocked(const std::string& text);
   exec::ExecEngine* EngineFor(int worker, int tree_id);
   static void FillResult(const Bitset& bits, EvalMode mode, int tree_id,
                          TreeResult* out);
@@ -112,8 +111,7 @@ class QueryService {
 
   const int num_workers_;
   Alphabet alphabet_;
-  std::mutex parse_mu_;  // serialises every alphabet-touching parse
-  PlanCache plan_cache_;
+  PlanCache plan_cache_;  // its LockAlphabets() guards alphabet_ at serve time
   std::vector<std::shared_ptr<const Tree>> trees_;
   BatchEngine batch_;
   // engines_[worker][tree], lazily built against the BatchEngine's shared

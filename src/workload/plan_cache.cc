@@ -1,5 +1,6 @@
 #include "workload/plan_cache.h"
 
+#include <algorithm>
 #include <cctype>
 #include <utility>
 
@@ -141,8 +142,8 @@ std::shared_ptr<const exec::Program> PlanCache::ProgramHitLocked(
     const Alphabet* alphabet, const NodeExpr* root) {
   auto per_alphabet = programs_.find(alphabet);
   if (per_alphabet == programs_.end()) return nullptr;
-  auto it = per_alphabet->second.find(root);
-  if (it == per_alphabet->second.end()) return nullptr;
+  auto it = per_alphabet->second.slots.find(root);
+  if (it == per_alphabet->second.slots.end()) return nullptr;
   std::shared_ptr<const exec::Program> program = it->second.program.lock();
   if (program != nullptr) program_hits_.Inc();
   return program;
@@ -158,8 +159,8 @@ PlanCache::ProgramSlot* PlanCache::SlotLocked(const Alphabet* alphabet,
                                               const NodeExpr* root) {
   auto per_alphabet = programs_.find(alphabet);
   if (per_alphabet == programs_.end()) return nullptr;
-  auto it = per_alphabet->second.find(root);
-  return it == per_alphabet->second.end() ? nullptr : &it->second;
+  auto it = per_alphabet->second.slots.find(root);
+  return it == per_alphabet->second.slots.end() ? nullptr : &it->second;
 }
 
 void PlanCache::RecordExecution(const Alphabet* alphabet,
@@ -198,10 +199,15 @@ Result<std::shared_ptr<const Query>> PlanCache::Parse(const std::string& text,
       return it->second->query;
     }
   }
-  // Parse outside the lock (the expensive part); the insert below re-checks
+  // Parse and simplify outside the cache lock (the expensive part; only
+  // the parser call holds the alphabet lock); the insert below re-checks
   // the index so a racing parse of the same text cannot create a duplicate
   // LRU entry (which would later make eviction erase the live index slot).
-  XPTC_ASSIGN_OR_RETURN(NodePtr parsed, ParseNode(key.text, alphabet));
+  NodePtr parsed;
+  {
+    std::lock_guard<std::mutex> lock(alphabet_mu_);
+    XPTC_ASSIGN_OR_RETURN(parsed, ParseNode(key.text, alphabet));
+  }
   NodePtr optimized = optimize ? SimplifyNode(parsed) : parsed;
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -314,20 +320,21 @@ Result<PlanCache::CompiledQuery> PlanCache::ParseCompiled(
     lowering_ns_.Add(lower_ns);
     superopt_ns_.Add(superopt_ns);
     obs::TraceNote("plan_cache: program miss, lowered");
-    ProgramMap& per_alphabet = programs_[alphabet];
-    // Lazy sweep once the index outgrows the cache capacity: expired slots
-    // release their canonical-root pins, so plans evicted from the LRU are
-    // not pinned here forever.
-    if (per_alphabet.size() >= capacity_) {
-      for (auto it = per_alphabet.begin(); it != per_alphabet.end();) {
-        if (it->second.program.expired()) {
-          it = per_alphabet.erase(it);
-        } else {
-          ++it;
-        }
-      }
+    ProgramIndex& per_alphabet =
+        programs_.try_emplace(alphabet, ProgramIndex{{}, capacity_})
+            .first->second;
+    // Lazy sweep: expired slots release their canonical-root pins, so plans
+    // evicted from the LRU are not pinned here forever. Live slots stay
+    // near capacity once the LRU is full, so the sweep waits until the
+    // index has doubled since the last one — amortised O(1) per miss.
+    if (per_alphabet.slots.size() >= per_alphabet.next_sweep) {
+      std::erase_if(per_alphabet.slots, [](const auto& slot) {
+        return slot.second.program.expired();
+      });
+      per_alphabet.next_sweep =
+          std::max(capacity_, 2 * per_alphabet.slots.size());
     }
-    per_alphabet[root] = ProgramSlot{out.query->plan(), program};
+    per_alphabet.slots[root] = ProgramSlot{out.query->plan(), program};
     out.program = std::move(program);
   }
   AttachProgramLocked(key, out.program);
@@ -348,7 +355,11 @@ Result<std::shared_ptr<const PathQuery>> PlanCache::ParsePath(
     }
   }
   // Qualified: the unqualified name resolves to this member function.
-  XPTC_ASSIGN_OR_RETURN(PathPtr parsed, ::xptc::ParsePath(key.text, alphabet));
+  PathPtr parsed;
+  {
+    std::lock_guard<std::mutex> lock(alphabet_mu_);
+    XPTC_ASSIGN_OR_RETURN(parsed, ::xptc::ParsePath(key.text, alphabet));
+  }
   PathPtr optimized = optimize ? SimplifyPath(parsed) : parsed;
 
   std::lock_guard<std::mutex> lock(mu_);

@@ -38,6 +38,15 @@ namespace xptc {
 ///
 /// Parse *errors* are not cached; they return through `Result` as usual.
 ///
+/// Thread-safety: every method may be called concurrently. A miss takes
+/// the cache lock only for the index lookup, the interning and the insert;
+/// parsing, simplification, lowering and the superoptimizer run outside
+/// it, so cold compiles on different threads overlap. The one step that
+/// mutates the caller's `Alphabet` — the parser interning a new label — is
+/// serialised on a second mutex the cache owns (`LockAlphabets`); any
+/// other code that reads or writes an alphabet this cache may be parsing
+/// against at the same time must hold that lock too.
+///
 /// Lifetime: entries are keyed on the `Alphabet*` address, so every alphabet
 /// passed to `Parse`/`ParsePath` must outlive the cache — or be withdrawn
 /// with `Purge(alphabet)` *before* it is destroyed. Without the purge, a new
@@ -124,6 +133,15 @@ class PlanCache {
   /// comment). Plans already handed out stay valid (shared_ptr).
   void Purge(const Alphabet* alphabet);
 
+  /// Holds the lock every parse through this cache takes around the
+  /// parser — the only point at which the cache mutates an `Alphabet`
+  /// (`Alphabet::Intern` of a new label may reallocate its name table).
+  /// Take it to read (`Name`, `Find`) or extend an alphabet that other
+  /// threads may be parsing queries against through this cache.
+  [[nodiscard]] std::unique_lock<std::mutex> LockAlphabets() const {
+    return std::unique_lock<std::mutex>(alphabet_mu_);
+  }
+
   size_t capacity() const { return capacity_; }
   size_t size() const;
   Stats stats() const;
@@ -160,7 +178,7 @@ class PlanCache {
   /// by the interner's sweep while the slot exists; `program` is weak so a
   /// program's lifetime is governed by LRU entries and handed-out
   /// CompiledQuerys, not by this index. Expired slots are swept lazily
-  /// when the per-alphabet map outgrows the cache capacity.
+  /// (see `ProgramIndex`).
   struct ProgramSlot {
     NodePtr plan;
     std::weak_ptr<const exec::Program> program;
@@ -170,7 +188,14 @@ class PlanCache {
     int profiled_runs = 0;
     bool reopt_attempted = false;  // one profile reopt per program generation
   };
-  using ProgramMap = std::unordered_map<const NodeExpr*, ProgramSlot>;
+  /// One alphabet's program slots. Expired slots are swept when the map
+  /// reaches `next_sweep` — twice its size after the previous sweep, and
+  /// at least the cache capacity — so sweeps cost amortised O(1) per miss
+  /// even while the live slots sit at capacity.
+  struct ProgramIndex {
+    std::unordered_map<const NodeExpr*, ProgramSlot> slots;
+    size_t next_sweep;
+  };
 
   /// Moves a hit to the front; inserts + evicts on miss. Caller holds mu_.
   LruList::iterator Touch(LruList::iterator it);
@@ -196,6 +221,8 @@ class PlanCache {
 
   const size_t capacity_;
   mutable std::mutex mu_;
+  // Serialises parser calls (alphabet mutation); never held with mu_.
+  mutable std::mutex alphabet_mu_;
   LruList lru_;  // front = most recently used
   std::unordered_map<Key, LruList::iterator, KeyHash> index_;
   // One interner per alphabet: symbols from different alphabets must never
@@ -204,7 +231,7 @@ class PlanCache {
       interners_;
   // Compiled programs keyed (alphabet, canonical plan root). Per-alphabet
   // because canonical pointers are per-interner; purged with the alphabet.
-  std::unordered_map<const Alphabet*, ProgramMap> programs_;
+  std::unordered_map<const Alphabet*, ProgramIndex> programs_;
   // Per-instance obs counters (`stats()` stays correct with many caches in
   // one process); a registry collector sums them across instances under
   // the `plan_cache.*` names. Declared after the counters it reads so the

@@ -1,6 +1,8 @@
 #include "xpath/intern.h"
 
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 namespace xptc {
 
@@ -42,14 +44,29 @@ bool ExprInterner::PathShallowEq::operator()(const PathPtr& a,
          a->right == b->right && a->pred == b->pred;
 }
 
-NodePtr ExprInterner::InternNode(const NodePtr& node) {
-  if (node == nullptr) return node;
-  auto memo = node_memo_.find(node);
-  if (memo != node_memo_.end()) return memo->second;
+NodePtr ExprInterner::Intern(const NodePtr& node) {
+  MaybeSweep();
+  Memo memo;
+  return InternNode(node, &memo);
+}
 
-  NodePtr left = InternNode(node->left);
-  NodePtr right = InternNode(node->right);
-  PathPtr path = InternPath(node->path);
+PathPtr ExprInterner::Intern(const PathPtr& path) {
+  MaybeSweep();
+  Memo memo;
+  return InternPath(path, &memo);
+}
+
+NodePtr ExprInterner::InternNode(const NodePtr& node, Memo* memo) {
+  if (node == nullptr) return node;
+  const bool shared = node.use_count() > 1;
+  if (shared) {
+    auto hit = memo->nodes.find(node.get());
+    if (hit != memo->nodes.end()) return hit->second;
+  }
+
+  NodePtr left = InternNode(node->left, memo);
+  NodePtr right = InternNode(node->right, memo);
+  PathPtr path = InternPath(node->path, memo);
   NodePtr candidate = node;
   if (left != node->left || right != node->right || path != node->path) {
     auto e = std::make_shared<NodeExpr>();
@@ -60,19 +77,22 @@ NodePtr ExprInterner::InternNode(const NodePtr& node) {
     e->path = std::move(path);
     candidate = std::move(e);
   }
-  NodePtr canonical = *nodes_.insert(candidate).first;
-  node_memo_.emplace(node, canonical);
+  NodePtr canonical = *nodes_.insert(std::move(candidate)).first;
+  if (shared) memo->nodes.emplace(node.get(), canonical);
   return canonical;
 }
 
-PathPtr ExprInterner::InternPath(const PathPtr& path) {
+PathPtr ExprInterner::InternPath(const PathPtr& path, Memo* memo) {
   if (path == nullptr) return path;
-  auto memo = path_memo_.find(path);
-  if (memo != path_memo_.end()) return memo->second;
+  const bool shared = path.use_count() > 1;
+  if (shared) {
+    auto hit = memo->paths.find(path.get());
+    if (hit != memo->paths.end()) return hit->second;
+  }
 
-  PathPtr left = InternPath(path->left);
-  PathPtr right = InternPath(path->right);
-  NodePtr pred = InternNode(path->pred);
+  PathPtr left = InternPath(path->left, memo);
+  PathPtr right = InternPath(path->right, memo);
+  NodePtr pred = InternNode(path->pred, memo);
   PathPtr candidate = path;
   if (left != path->left || right != path->right || pred != path->pred) {
     auto e = std::make_shared<PathExpr>();
@@ -83,44 +103,49 @@ PathPtr ExprInterner::InternPath(const PathPtr& path) {
     e->pred = std::move(pred);
     candidate = std::move(e);
   }
-  PathPtr canonical = *paths_.insert(candidate).first;
-  path_memo_.emplace(path, canonical);
+  PathPtr canonical = *paths_.insert(std::move(candidate)).first;
+  if (shared) memo->paths.emplace(path.get(), canonical);
   return canonical;
 }
 
-void ExprInterner::MaybeTrim() {
-  if (node_memo_.size() + path_memo_.size() <= kMemoTrimThreshold) return;
-  TrimMemos();
-  SweepUnreferenced();
-}
-
-void ExprInterner::SweepUnreferenced() {
+void ExprInterner::Sweep() {
   // A canonical node with use_count() == 1 is held only by the set itself:
   // no cached/handed-out plan and no interned parent references it (a
   // parent in the set holds a child ref, so such a child counts >= 2).
-  // Erasing it releases its children, which may in turn become sweepable —
-  // iterate to the fixpoint. Runs only from MaybeTrim, so the quadratic
-  // worst case is amortised over >= kMemoTrimThreshold interning calls.
-  bool removed = true;
-  while (removed) {
-    removed = false;
-    for (auto it = nodes_.begin(); it != nodes_.end();) {
-      if (it->use_count() == 1) {
-        it = nodes_.erase(it);
-        removed = true;
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = paths_.begin(); it != paths_.end();) {
-      if (it->use_count() == 1) {
-        it = paths_.erase(it);
-        removed = true;
-      } else {
-        ++it;
-      }
+  // The scan copies each such node onto a worklist, which makes the copy
+  // the second reference; a worklist entry still at exactly two is erased
+  // and its children queued — their counts drop by the erased parent's
+  // link, and the last queued copy of a child sees the final count. Every
+  // node is queued at most once per parent erased, so the pass is linear.
+  std::vector<NodePtr> dead_nodes;
+  std::vector<PathPtr> dead_paths;
+  for (const NodePtr& n : nodes_) {
+    if (n.use_count() == 1) dead_nodes.push_back(n);
+  }
+  for (const PathPtr& p : paths_) {
+    if (p.use_count() == 1) dead_paths.push_back(p);
+  }
+  while (!dead_nodes.empty() || !dead_paths.empty()) {
+    if (!dead_nodes.empty()) {
+      NodePtr n = std::move(dead_nodes.back());
+      dead_nodes.pop_back();
+      if (n.use_count() != 2) continue;
+      if (n->left) dead_nodes.push_back(n->left);
+      if (n->right) dead_nodes.push_back(n->right);
+      if (n->path) dead_paths.push_back(n->path);
+      nodes_.erase(n);
+    } else {
+      PathPtr p = std::move(dead_paths.back());
+      dead_paths.pop_back();
+      if (p.use_count() != 2) continue;
+      if (p->left) dead_paths.push_back(p->left);
+      if (p->right) dead_paths.push_back(p->right);
+      if (p->pred) dead_nodes.push_back(p->pred);
+      paths_.erase(p);
     }
   }
+  ++sweeps_;
+  next_sweep_ = std::max(kMinSweepSize, 2 * (nodes_.size() + paths_.size()));
 }
 
 }  // namespace xptc

@@ -24,9 +24,16 @@ namespace xptc {
 /// equality of a candidate reduces to *shallow* equality (same op, same
 /// label/axis, pointer-identical children) — each node costs O(1) hashing
 /// regardless of subtree size. Expressions are immutable and held by
-/// shared_ptr. Memory is bounded: the pointer memos self-trim past
-/// `kMemoTrimThreshold`, and canonical nodes that no live plan references
-/// any more are swept at the same time (see `MaybeTrim`).
+/// shared_ptr. A per-call memo keeps a DAG input linear (a shared input
+/// node is walked once per call); nothing about the input outlives the
+/// call, so an `Intern` costs O(size of its input) plus the amortised
+/// sweep below.
+///
+/// Memory is bounded: canonical nodes that no live plan references any
+/// more are swept in one cascading pass (see `Sweep`), run automatically
+/// whenever the canonical sets have doubled since the previous sweep — so
+/// the sets track the live working set and each sweep is paid for by the
+/// interning that grew them (amortised O(1) per interned node).
 ///
 /// Not thread-safe; the `PlanCache` serialises access under its own lock.
 class ExprInterner {
@@ -40,45 +47,46 @@ class ExprInterner {
   /// Returns the canonical representative of `node` (possibly `node`
   /// itself, if it is the first of its equivalence class). Null passes
   /// through (absent optional children).
-  NodePtr Intern(const NodePtr& node) {
-    MaybeTrim();
-    return InternNode(node);
-  }
-  PathPtr Intern(const PathPtr& path) {
-    MaybeTrim();
-    return InternPath(path);
-  }
+  NodePtr Intern(const NodePtr& node);
+  PathPtr Intern(const PathPtr& path);
 
-  /// Number of distinct equivalence classes seen so far.
+  /// Number of distinct equivalence classes currently held.
   size_t unique_nodes() const { return nodes_.size(); }
   size_t unique_paths() const { return paths_.size(); }
 
-  /// Drops the input-pointer memo maps (a pure fast path — they pin every
-  /// AST ever handed to `Intern`, so a long-running caller must not let
-  /// them grow forever). Canonical nodes are untouched; the next `Intern`
-  /// of a previously seen pointer just re-walks it. Called automatically
-  /// once the memos exceed `kMemoTrimThreshold` entries.
-  void TrimMemos() {
-    node_memo_.clear();
-    path_memo_.clear();
-  }
+  /// Number of sweeps run so far (automatic and explicit).
+  size_t sweeps() const { return sweeps_; }
 
-  /// Memo-size bound above which `Intern` self-trims. Large enough that
-  /// trims are rare under any realistic workload, small enough that the
-  /// pinned-AST footprint stays bounded.
-  static constexpr size_t kMemoTrimThreshold = 1u << 16;
+  /// Erases every canonical node no longer referenced outside the
+  /// interner — i.e. not reachable from any live plan — in one pass: a
+  /// scan seeds a worklist with the unreferenced nodes, and erasing a
+  /// node re-checks its children, so a discarded chain of any depth goes
+  /// in the same sweep. O(canonical set size). Called automatically from
+  /// `Intern` once the sets reach twice their size after the previous
+  /// sweep (and at least `kMinSweepSize`).
+  void Sweep();
+
+  /// Canonical-set size below which `Intern` never sweeps: keeps a small
+  /// interner from sweeping on every call while it warms up.
+  static constexpr size_t kMinSweepSize = 1u << 12;
 
  private:
-  NodePtr InternNode(const NodePtr& node);
-  PathPtr InternPath(const PathPtr& path);
+  // Per-call input → canonical memo, keyed by input address (the caller
+  // holds the input for the whole call, so no address is reused inside
+  // it). Only shared input nodes (use_count > 1) are recorded: a node
+  // held once is reachable along one edge of the DAG and visited once.
+  struct Memo {
+    std::unordered_map<const NodeExpr*, NodePtr> nodes;
+    std::unordered_map<const PathExpr*, PathPtr> paths;
+  };
 
-  /// Self-trim, run at each top-level `Intern` entry (never mid-recursion):
-  /// once the memos cross `kMemoTrimThreshold`, drop them and then sweep
-  /// canonical nodes no longer referenced outside the interner — i.e. not
-  /// reachable from any live plan — so the canonical sets track the live
-  /// working set instead of growing monotonically.
-  void MaybeTrim();
-  void SweepUnreferenced();
+  NodePtr InternNode(const NodePtr& node, Memo* memo);
+  PathPtr InternPath(const PathPtr& path, Memo* memo);
+
+  /// Runs at each top-level `Intern` entry (never mid-recursion).
+  void MaybeSweep() {
+    if (nodes_.size() + paths_.size() >= next_sweep_) Sweep();
+  }
 
   // Shallow hash/equality: valid only once children are interned, which
   // Intern guarantees by recursing first.
@@ -97,15 +105,9 @@ class ExprInterner {
 
   std::unordered_set<NodePtr, NodeHasher, NodeShallowEq> nodes_;
   std::unordered_set<PathPtr, PathHasher, PathShallowEq> paths_;
-  // Fast path for re-interning an already-processed pointer (repeated
-  // parses of equal texts hand the interner fresh ASTs, but callers also
-  // re-intern cached plans; both stay O(nodes) / O(1) respectively).
-  // Keyed by shared_ptr — pointer-hashed, and pins the input so a freed
-  // expression's address can never be reused into a stale hit. Bounded:
-  // MaybeTrim clears both maps past kMemoTrimThreshold, so the pinning is
-  // temporary, not a leak.
-  std::unordered_map<NodePtr, NodePtr> node_memo_;
-  std::unordered_map<PathPtr, PathPtr> path_memo_;
+  // Combined set size at which the next automatic sweep runs.
+  size_t next_sweep_ = kMinSweepSize;
+  size_t sweeps_ = 0;
 };
 
 }  // namespace xptc

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -165,6 +166,44 @@ TEST(PlanCacheTest, ConcurrentParsesAreSafeAndConverge) {
     auto a = cache.Parse(text, &alphabet).ValueOrDie();
     auto b = cache.Parse(text, &alphabet).ValueOrDie();
     EXPECT_EQ(a.get(), b.get());
+  }
+}
+
+TEST(PlanCacheTest, ConcurrentFreshLabelsRoundTripThroughAlphabet) {
+  // Cold compiles run in parallel, and each parse of a never-seen label
+  // grows the shared alphabet: the cache must serialise those mutations
+  // (run under TSan in CI) so that no symbol is lost or minted twice.
+  Alphabet alphabet;
+  PlanCache cache;
+  constexpr int kThreads = 4;
+  constexpr int kTexts = 100;
+  std::vector<std::vector<PlanCache::CompiledQuery>> plans(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kTexts; ++i) {
+        const std::string tag = std::to_string(t) + "_" + std::to_string(i);
+        auto q = cache.ParseCompiled("<child[l" + tag + "]> and m" + tag,
+                                     &alphabet);
+        ASSERT_TRUE(q.ok()) << q.status().ToString();
+        plans[t].push_back(q.ValueOrDie());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(alphabet.size(), 2 * kThreads * kTexts);
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(plans[t].size(), static_cast<size_t>(kTexts));
+    for (int i = 0; i < kTexts; ++i) {
+      const std::string tag = std::to_string(t) + "_" + std::to_string(i);
+      std::set<Symbol> labels;
+      CollectNodeLabels(*plans[t][i].query->plan(), &labels);
+      std::set<std::string> names;
+      for (Symbol label : labels) names.insert(alphabet.Name(label));
+      EXPECT_EQ(names, (std::set<std::string>{"l" + tag, "m" + tag}));
+      EXPECT_NE(plans[t][i].program, nullptr);
+    }
   }
 }
 
@@ -397,14 +436,15 @@ TEST(ExprInternerTest, InternsPathsIncludingPredicates) {
   EXPECT_EQ(p1.get(), p2.get());
 }
 
-TEST(ExprInternerTest, TrimMemosKeepsCanonicalsAndStaysCorrect) {
+TEST(ExprInternerTest, SweepKeepsCanonicalsAndStaysCorrect) {
   Alphabet alphabet;
   ExprInterner interner;
   NodePtr kept =
       interner.Intern(ParseNode("<child[keep]>", &alphabet).ValueOrDie());
-  interner.TrimMemos();
-  // Memos are a pure fast path: after the trim, re-interning an equal tree
-  // (or the canonical itself) still lands on the same representative.
+  interner.Sweep();
+  // A sweep drops only unreferenced canonicals: afterwards, re-interning
+  // an equal tree (or the canonical itself) still lands on the same
+  // representative.
   NodePtr again =
       interner.Intern(ParseNode("<child[keep]>", &alphabet).ValueOrDie());
   EXPECT_EQ(again.get(), kept.get());
@@ -412,17 +452,17 @@ TEST(ExprInternerTest, TrimMemosKeepsCanonicalsAndStaysCorrect) {
 }
 
 TEST(ExprInternerTest, SelfTrimSweepsUnreferencedCanonicals) {
-  // A long-running interner must not grow without bound: once the memos
-  // cross kMemoTrimThreshold they are dropped and canonical nodes no live
+  // A long-running interner must not grow without bound: once the
+  // canonical sets double (past kMinSweepSize), canonical nodes no live
   // plan references are swept. Intern many distinct throwaway queries
-  // (results immediately discarded) — enough that the self-trim fires at
+  // (results immediately discarded) — enough that the sweep fires at
   // least once — and check the canonical sets shrank while a held plan
   // survived.
   Alphabet alphabet;
   ExprInterner interner;
   NodePtr kept =
       interner.Intern(ParseNode("<child[keep]>", &alphabet).ValueOrDie());
-  constexpr size_t kDistinct = 30000;  // ~3 memo entries each > threshold
+  constexpr size_t kDistinct = 30000;  // ~3 canonicals each > threshold
   for (size_t i = 0; i < kDistinct; ++i) {
     NodePtr throwaway =
         ParseNode("<child[x" + std::to_string(i) + "]>", &alphabet)
@@ -436,6 +476,81 @@ TEST(ExprInternerTest, SelfTrimSweepsUnreferencedCanonicals) {
                 .get(),
             kept.get())
       << "sweep must not evict canonicals still referenced by live plans";
+}
+
+TEST(ExprInternerTest, InternDoesNotHoldItsInput) {
+  // The input memo lives for one call: once Intern returns, a fresh input
+  // whose class already has a canonical is owned by its caller alone.
+  Alphabet alphabet;
+  ExprInterner interner;
+  NodePtr kept = interner.Intern(
+      ParseNode("<child[a]> and not b", &alphabet).ValueOrDie());
+  NodePtr input = ParseNode("<child[a]> and not b", &alphabet).ValueOrDie();
+  EXPECT_EQ(interner.Intern(input).get(), kept.get());
+  EXPECT_EQ(input.use_count(), 1);
+}
+
+TEST(ExprInternerTest, SharedInputIsInternedOnce) {
+  // A DAG input whose tree unfolding is 2^64 nodes: the per-call memo
+  // visits each shared node once, so interning stays linear in the DAG.
+  Alphabet alphabet;
+  ExprInterner interner;
+  NodePtr dag = MakeLabel(alphabet.Intern("a"));
+  for (int i = 0; i < 64; ++i) dag = MakeAnd(dag, dag);
+  NodePtr canonical = interner.Intern(dag);
+  EXPECT_EQ(interner.unique_nodes(), 65u);
+  EXPECT_EQ(canonical->left.get(), canonical->right.get());
+}
+
+TEST(ExprInternerTest, OneSweepRemovesADiscardedDeepChain) {
+  // Erasing a node re-checks its children, so a discarded chain goes in
+  // the one pass of the first sweep, however deep it is — not one level
+  // per round.
+  Alphabet alphabet;
+  ExprInterner interner;
+  NodePtr kept =
+      interner.Intern(ParseNode("<child[keep]>", &alphabet).ValueOrDie());
+  const size_t nodes_before = interner.unique_nodes();
+  const size_t paths_before = interner.unique_paths();
+  {
+    NodePtr chain = MakeLabel(alphabet.Intern("leaf"));
+    for (int i = 0; i < 1000; ++i) {
+      chain = MakeSome(MakeFilter(MakeAxis(Axis::kChild), MakeNot(chain)));
+    }
+    ASSERT_NE(interner.Intern(chain), nullptr);
+  }
+  EXPECT_GE(interner.unique_nodes(), nodes_before + 2000);
+  EXPECT_EQ(interner.sweeps(), 0u);
+  interner.Sweep();
+  EXPECT_EQ(interner.sweeps(), 1u);
+  EXPECT_EQ(interner.unique_nodes(), nodes_before);
+  EXPECT_EQ(interner.unique_paths(), paths_before);
+  EXPECT_EQ(interner
+                .Intern(ParseNode("<child[keep]>", &alphabet).ValueOrDie())
+                .get(),
+            kept.get());
+}
+
+TEST(ExprInternerTest, SweepsRunOnlyWhenTheSetsDouble) {
+  // With every plan held live, nothing is ever swept, and each automatic
+  // sweep waits for the sets to double: O(log n) sweeps over n interned
+  // nodes, so the sweeps' total cost stays linear.
+  Alphabet alphabet;
+  ExprInterner interner;
+  std::vector<NodePtr> held;
+  for (int i = 0; i < 20000; ++i) {
+    held.push_back(interner.Intern(
+        ParseNode("<child[x" + std::to_string(i) + "]>", &alphabet)
+            .ValueOrDie()));
+  }
+  const size_t total = interner.unique_nodes() + interner.unique_paths();
+  size_t max_sweeps = 0;
+  for (size_t size = ExprInterner::kMinSweepSize; size <= total; size *= 2) {
+    ++max_sweeps;
+  }
+  EXPECT_GE(interner.sweeps(), 1u);
+  EXPECT_LE(interner.sweeps(), max_sweeps);
+  EXPECT_EQ(interner.unique_nodes(), 2 * held.size());
 }
 
 }  // namespace

@@ -460,6 +460,41 @@ TEST(ServerTest, ConcurrentClientsAgreeWithLibrary) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+TEST(ServerTest, ExplainReadsLabelsWhileQueriesInternFreshOnes) {
+  // /explain renders a corpus tree's label names while other workers parse
+  // queries naming labels the alphabet has never seen (each one grows its
+  // name table); both sides must go through the plan cache's alphabet
+  // lock, or TSan (server_tsan) flags the read against the reallocation.
+  ServiceOptions service_options;
+  service_options.num_workers = 4;
+  Loopback loop(ServerOptions{}, service_options);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    BlockingClient client = loop.Connect();
+    for (int i = 0; i < 20; ++i) {
+      auto resp = client.Http("GET", "/explain?query=b&trees=0&json=1");
+      if (!resp.ok() || resp->status != 200) ++failures;
+    }
+  });
+  for (int c = 0; c < 3; ++c) {
+    threads.emplace_back([&, c] {
+      BlockingClient client = loop.Connect();
+      for (int i = 0; i < 40; ++i) {
+        const std::string fresh =
+            "fresh" + std::to_string(c) + "_" + std::to_string(i);
+        auto resp = client.Query("<desc[" + fresh + "]> or b", {0});
+        if (!resp.ok() || resp->code != RespCode::kOk ||
+            !(resp->results[0].bits == LibraryEval(kXmls[0], "b"))) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 /// Saves and restores the process-global FlightRecorder so the tracing
 /// tests below cannot leak sampling config or a completion log into their
 /// neighbours (the recorder is a singleton shared by every Loopback).
