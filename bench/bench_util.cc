@@ -215,11 +215,11 @@ std::string SpeedupCasesJson(const std::vector<SpeedupCase>& cases) {
   for (size_t i = 0; i < cases.size(); ++i) {
     const SpeedupCase& c = cases[i];
     const double speedup =
-        c.opt_seconds > 0 ? c.seed_seconds / c.opt_seconds : 0;
+        c.opt_seconds > 0 ? c.naive_seconds / c.opt_seconds : 0;
     if (i > 0) out << ", ";
     out << "{\"name\": \"" << JsonEscape(c.name) << "\", \"query\": \""
         << JsonEscape(c.query) << "\", \"n\": " << c.n
-        << ", \"seed_seconds\": " << Fmt(c.seed_seconds, 6)
+        << ", \"naive_seconds\": " << Fmt(c.naive_seconds, 6)
         << ", \"opt_seconds\": " << Fmt(c.opt_seconds, 6)
         << ", \"speedup\": " << Fmt(speedup, 2)
         << ", \"match\": " << (c.match ? "true" : "false") << "}";

@@ -45,15 +45,15 @@ double MedianSecondsN(const std::function<void()>& fn, int inner,
 /// problem sizes so CI can exercise the full pipeline in seconds.
 bool SmokeMode();
 
-/// One seed-engine-vs-optimized-engine measurement, serialized into
+/// One naive-reference-vs-optimized-engine measurement, serialized into
 /// BENCH_eval.json so successive PRs accumulate a perf trajectory.
 struct SpeedupCase {
   std::string name;   // stable case id, e.g. "w_heavy_uniform"
   std::string query;  // concrete syntax of the measured query
   int n = 0;          // tree size in nodes
-  double seed_seconds = 0;
+  double naive_seconds = 0;
   double opt_seconds = 0;
-  bool match = false;  // optimized result bit-identical to seed result
+  bool match = false;  // optimized result bit-identical to naive result
 };
 
 /// Renders cases as a JSON object: {"cases": [...], "smoke": bool}.
@@ -103,17 +103,15 @@ std::string ThroughputJsonPath();
 /// bench/exp12_compiled.cc.
 std::string CompiledJsonPath();
 
-/// Path of the SIMD-kernel / superoptimizer benchmark JSON
-/// (XPTC_BENCH_KERNELS_JSON or BENCH_kernels.json): scalar-vs-vector
-/// kernel microbenches and superopt end-to-end comparisons from
+/// Path of the SIMD-kernel benchmark JSON (XPTC_BENCH_KERNELS_JSON or
+/// BENCH_kernels.json): scalar-vs-vector kernel microbenches from
 /// bench/exp13_kernels.cc. Separate file because the numbers depend on
 /// the host's vector ISA.
 std::string KernelsJsonPath();
 
 /// Path of the axis-streaming benchmark JSON (XPTC_BENCH_AXIS_JSON or
-/// BENCH_axis.json): sparse-vs-dense axis kernel dispatch and the
-/// profile-fed re-superoptimization measurements from
-/// bench/exp14_axis_streaming.cc. Separate file because the dense-path
+/// BENCH_axis.json): sparse-vs-dense axis kernel dispatch measurements
+/// from bench/exp14_axis_streaming.cc. Separate file because the dense-path
 /// numbers depend on the host's gather throughput.
 std::string AxisJsonPath();
 

@@ -148,6 +148,8 @@ constexpr Kernels kGenericKernels = {
 // the rest of the binary baseline-x86_64; the tail (< 4 words) runs the
 // scalar epilogue. Popcount stays scalar — AVX2 has no vector popcount,
 // and the hardware popcnt the builtin emits already does a word per cycle.
+// Copy stays memmove: a 256-bit load/store loop measured 0.56x of it on
+// L1-resident operands (BENCH_kernels.json).
 
 #if XPTC_SIMD_AVX2
 
@@ -204,16 +206,6 @@ XPTC_AVX2 void XorWordsAvx2(uint64_t* dst, const uint64_t* a, size_t n) {
                         _mm256_xor_si256(x, y));
   }
   for (; i < n; ++i) dst[i] ^= a[i];
-}
-
-XPTC_AVX2 void CopyWordsAvx2(uint64_t* dst, const uint64_t* a, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(dst + i),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i];
 }
 
 XPTC_AVX2 void NotWordsAvx2(uint64_t* dst, const uint64_t* a, size_t n) {
@@ -359,7 +351,7 @@ XPTC_AVX2 void OrRangeAvx2(uint64_t* dst, const uint64_t* src, size_t lo,
 
 constexpr Kernels kAvx2Kernels = {
     Level::kAvx2,         OrWordsAvx2,        AndWordsAvx2,
-    AndNotWordsAvx2,      XorWordsAvx2,       CopyWordsAvx2,
+    AndNotWordsAvx2,      XorWordsAvx2,       CopyWordsGeneric,
     NotWordsAvx2,         AssignAndNotWordsAvx2,
     AssignOrNotWordsAvx2, PopcountWordsGeneric, AnyWordsAvx2,
     SubsetWordsAvx2,      GatherWordsAvx2,    FillRangeAvx2,

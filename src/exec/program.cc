@@ -6,6 +6,9 @@
 #include <map>
 #include <queue>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -41,6 +44,14 @@ Op ClosureOpFor(Axis closure) {
 // bodies and computed once. Star bodies are lowered into their own
 // sequences first; the owning kStar instruction is appended afterwards, so
 // within every sequence definitions precede uses in execution order.
+//
+// Two fixed rules apply as instructions are emitted:
+//  - fuse: `φ and not ψ`, `φ or not ψ` and a filter `[not ψ]` become one
+//    kAndNot/kOrNot over ψ's register. The kNot itself is emitted only when
+//    something reads `not ψ` as a value (LowerNode), never for a fused use.
+//  - value numbering: every pure instruction goes through `Emit`, which
+//    returns the existing register when an identical instruction (same op
+//    and operands, kAnd/kOr operands sorted) already sits in the sequence.
 
 struct LoopSeq {
   std::vector<Instr> instrs;
@@ -48,6 +59,8 @@ struct LoopSeq {
   // Sequence-local: a body re-entered each iteration recomputes, but two
   // occurrences of the same sub-path over the same operand share.
   std::map<std::pair<const PathExpr*, int>, int> path_memo;
+  // Value numbers: (op, a, b, axis, label) -> the vreg already holding it.
+  std::map<std::tuple<Op, int, int, Axis, Symbol>, int> values;
 };
 
 class Lowerer {
@@ -104,16 +117,41 @@ class Lowerer {
     seqs_[static_cast<size_t>(seq)].instrs.push_back(std::move(ins));
   }
 
-  // The all-nodes register (lazily emitted once, in the main sequence).
-  int TrueReg() {
-    if (true_vreg_ < 0) {
-      Instr ins;
-      ins.op = Op::kTrue;
-      ins.dst = NewVreg();
-      Append(0, ins);
-      true_vreg_ = ins.dst;
+  // Emits the pure instruction `ins` into `seq` and returns its register —
+  // or, when an identical instruction already sits in `seq`, that one's.
+  int Emit(int seq, Instr ins) {
+    if ((ins.op == Op::kAnd || ins.op == Op::kOr) && ins.b < ins.a) {
+      std::swap(ins.a, ins.b);
     }
-    return true_vreg_;
+    LoopSeq& s = seqs_[static_cast<size_t>(seq)];
+    const auto [it, fresh] = s.values.try_emplace(
+        std::make_tuple(ins.op, ins.a, ins.b, ins.axis, ins.label),
+        num_vregs_);
+    if (!fresh) {
+      ++dag_hits_;
+      return it->second;
+    }
+    ins.dst = NewVreg();
+    s.instrs.push_back(std::move(ins));
+    return it->second;
+  }
+
+  static Instr Make(Op op, int a = -1, int b = -1) {
+    Instr ins;
+    ins.op = op;
+    ins.a = a;
+    ins.b = b;
+    return ins;
+  }
+
+  // The all-nodes register (emitted once, in the main sequence).
+  int TrueReg() { return Emit(0, Make(Op::kTrue)); }
+
+  // Register of `node` as an operand that may fuse: for `not ψ` it is ψ's
+  // register with `*negated` set, and no kNot is emitted.
+  int LowerFusable(const NodePtr& node, bool* negated) {
+    *negated = node->op == NodeOp::kNot;
+    return LowerNode(*negated ? node->left : node);
   }
 
   // Register holding the node set of `node`. Node-expression values are
@@ -130,32 +168,30 @@ class Lowerer {
         reg = TrueReg();
         break;
       case NodeOp::kLabel: {
-        Instr ins;
-        ins.op = Op::kLabel;
+        Instr ins = Make(Op::kLabel);
         ins.label = node->label;
-        ins.dst = NewVreg();
-        Append(0, ins);
-        reg = ins.dst;
+        reg = Emit(0, ins);
         break;
       }
-      case NodeOp::kNot: {
-        Instr ins;
-        ins.op = Op::kNot;
-        ins.a = LowerNode(node->left);
-        ins.dst = NewVreg();
-        Append(0, ins);
-        reg = ins.dst;
+      case NodeOp::kNot:
+        reg = Emit(0, Make(Op::kNot, LowerNode(node->left)));
         break;
-      }
       case NodeOp::kAnd:
       case NodeOp::kOr: {
-        Instr ins;
-        ins.op = node->op == NodeOp::kAnd ? Op::kAnd : Op::kOr;
-        ins.a = LowerNode(node->left);
-        ins.b = LowerNode(node->right);
-        ins.dst = NewVreg();
-        Append(0, ins);
-        reg = ins.dst;
+        // Fuse a `not` operand (the right one when both are negated).
+        bool neg_a, neg_b;
+        int a = LowerFusable(node->left, &neg_a);
+        int b = LowerFusable(node->right, &neg_b);
+        if (neg_a && neg_b) {
+          a = LowerNode(node->left);
+        } else if (neg_a) {
+          std::swap(a, b);
+        }
+        const bool fused = neg_a || neg_b;
+        const Op op = node->op == NodeOp::kAnd
+                          ? (fused ? Op::kAndNot : Op::kAnd)
+                          : (fused ? Op::kOrNot : Op::kOr);
+        reg = Emit(0, Make(op, a, b));
         break;
       }
       case NodeOp::kSome:
@@ -194,13 +230,9 @@ class Lowerer {
     int reg = -1;
     switch (path->op) {
       case PathOp::kAxis: {
-        Instr ins;
-        ins.op = Op::kAxis;
+        Instr ins = Make(Op::kAxis, targets);
         ins.axis = InverseAxis(path->axis);
-        ins.a = targets;
-        ins.dst = NewVreg();
-        Append(seq, ins);
-        reg = ins.dst;
+        reg = Emit(seq, ins);
         break;
       }
       case PathOp::kSeq: {
@@ -209,23 +241,17 @@ class Lowerer {
         break;
       }
       case PathOp::kUnion: {
-        Instr ins;
-        ins.op = Op::kOr;
-        ins.a = LowerPathBack(path->left, targets, seq);
-        ins.b = LowerPathBack(path->right, targets, seq);
-        ins.dst = NewVreg();
-        Append(seq, ins);
-        reg = ins.dst;
+        const int left = LowerPathBack(path->left, targets, seq);
+        const int right = LowerPathBack(path->right, targets, seq);
+        reg = Emit(seq, Make(Op::kOr, left, right));
         break;
       }
       case PathOp::kFilter: {
-        Instr ins;
-        ins.op = Op::kAnd;
-        ins.a = targets;
-        ins.b = LowerNode(path->pred);  // hoisted: computed once, in main
-        ins.dst = NewVreg();
-        Append(seq, ins);
-        reg = LowerPathBack(path->left, ins.dst, seq);
+        bool negated;
+        const int pred = LowerFusable(path->pred, &negated);  // main, once
+        const int kept =
+            Emit(seq, Make(negated ? Op::kAndNot : Op::kAnd, targets, pred));
+        reg = LowerPathBack(path->left, kept, seq);
         break;
       }
       case PathOp::kStar: {
@@ -239,13 +265,9 @@ class Lowerer {
         if (axis::ClosureCollapseEnabled() &&
             path->left->op == PathOp::kAxis &&
             TransitiveClosureAxis(InverseAxis(path->left->axis), &closure)) {
-          Instr ins;
-          ins.op = ClosureOpFor(closure);
+          Instr ins = Make(ClosureOpFor(closure), targets);
           ins.axis = closure;
-          ins.a = targets;
-          ins.dst = NewVreg();
-          Append(seq, ins);
-          reg = ins.dst;
+          reg = Emit(seq, ins);
           break;
         }
         // Semi-naive closure: the body maps the frontier `in` one p-step
@@ -271,7 +293,6 @@ class Lowerer {
   std::unordered_map<const NodeExpr*, int> node_memo_;
   int num_vregs_ = 0;
   int dag_hits_ = 0;
-  int true_vreg_ = -1;
 };
 
 // ---------------------------------------------------------------------------
@@ -403,46 +424,81 @@ class RegisterAllocator {
   std::vector<std::pair<int, int>> loops_;
 };
 
-}  // namespace
-
-Program::Lowered Program::LowerPlan(const NodePtr& plan) {
-  Lowerer lowerer;
-  Lowerer::Output out = lowerer.Lower(plan);
-  Lowered lowered;
-  lowered.code = std::move(out.code);
-  lowered.main_end = out.main_end;
-  lowered.result_vreg = out.result_vreg;
-  lowered.num_vregs = out.num_vregs;
-  lowered.dag_hits = out.dag_hits;
-  return lowered;
-}
-
-std::shared_ptr<Program> Program::Finish(NodePtr plan, int ast_nodes,
-                                         Lowered lowered) {
-  std::shared_ptr<Program> program(new Program());
-  program->plan_ = std::move(plan);
-  program->stats_.ast_nodes = ast_nodes;
-  program->code_ = std::move(lowered.code);
-  program->main_end_ = lowered.main_end;
-  RegisterAllocator allocator;
-  program->num_regs_ =
-      allocator.Run(&program->code_, program->main_end_, lowered.num_vregs,
-                    &program->result_reg_, lowered.result_vreg);
-  program->stats_.num_instrs = static_cast<int>(program->code_.size());
-  program->stats_.num_vregs = lowered.num_vregs;
-  program->stats_.num_regs = program->num_regs_;
-  program->stats_.dag_hits = lowered.dag_hits;
-  if (IsDownwardNode(*program->plan_)) {
-    if (auto downward = DownwardProgram::Compile(program->plan_)) {
-      program->downward_ =
-          std::make_unique<const DownwardProgram>(std::move(*downward));
-      program->stats_.downward = true;
-      program->stats_.bit_ops =
-          static_cast<int>(program->downward_->code().size());
+// Recursive half of VerifyProgram: checks [begin, end) and every star body
+// it enters, marking each instruction visited.
+bool VerifyWalk(const Program& program, int begin, int end,
+                std::vector<char>* visited, std::string* error) {
+  const auto fail = [error](const std::string& message) {
+    if (error != nullptr) *error = message;
+    return false;
+  };
+  const std::vector<Instr>& code = program.code();
+  if (begin < 0 || end < begin || end > static_cast<int>(code.size())) {
+    return fail("instruction range out of bounds");
+  }
+  const auto ok_reg = [&program](int reg) {
+    return reg >= 0 && reg < program.num_regs();
+  };
+  for (int i = begin; i < end; ++i) {
+    if ((*visited)[static_cast<size_t>(i)]) {
+      return fail("instruction " + std::to_string(i) + " visited twice");
+    }
+    (*visited)[static_cast<size_t>(i)] = 1;
+    const Instr& ins = code[static_cast<size_t>(i)];
+    if (!ok_reg(ins.dst)) {
+      return fail("instruction " + std::to_string(i) + ": bad dst register");
+    }
+    bool need_a = false, need_b = false;
+    switch (ins.op) {
+      case Op::kTrue:
+        break;
+      case Op::kLabel:
+        if (ins.label == kInvalidSymbol) {
+          return fail("instruction " + std::to_string(i) + ": invalid label");
+        }
+        break;
+      case Op::kNot:
+      case Op::kAxis:
+      case Op::kDescFill:
+      case Op::kAncMark:
+      case Op::kSibChain:
+        need_a = true;
+        break;
+      case Op::kAnd:
+      case Op::kOr:
+      case Op::kAndNot:
+      case Op::kOrNot:
+        need_a = need_b = true;
+        break;
+      case Op::kWithin:
+        if (ins.within == nullptr) {
+          return fail("instruction " + std::to_string(i) +
+                      ": kWithin without expression");
+        }
+        break;
+      case Op::kStar:
+        need_a = true;
+        if (!ok_reg(ins.in) || !ok_reg(ins.out)) {
+          return fail("instruction " + std::to_string(i) +
+                      ": bad star in/out register");
+        }
+        if (!VerifyWalk(program, ins.body_begin, ins.body_end, visited,
+                        error)) {
+          return false;
+        }
+        break;
+    }
+    if (need_a && !ok_reg(ins.a)) {
+      return fail("instruction " + std::to_string(i) + ": bad operand a");
+    }
+    if (need_b && !ok_reg(ins.b)) {
+      return fail("instruction " + std::to_string(i) + ": bad operand b");
     }
   }
-  return program;
+  return true;
 }
+
+}  // namespace
 
 std::shared_ptr<const Program> Program::Compile(const NodePtr& query) {
   XPTC_CHECK(query != nullptr);
@@ -450,9 +506,30 @@ std::shared_ptr<const Program> Program::Compile(const NodePtr& query) {
   // (PlanCache additionally shares canonical plans — and thus programs —
   // across the whole workload.)
   ExprInterner interner;
-  NodePtr plan = interner.Intern(query);
-  Lowered lowered = LowerPlan(plan);
-  return Finish(std::move(plan), NodeSize(*query), std::move(lowered));
+  std::shared_ptr<Program> program(new Program());
+  program->plan_ = interner.Intern(query);
+  Lowerer::Output lowered = Lowerer().Lower(program->plan_);
+  program->code_ = std::move(lowered.code);
+  program->main_end_ = lowered.main_end;
+  RegisterAllocator allocator;
+  program->num_regs_ =
+      allocator.Run(&program->code_, program->main_end_, lowered.num_vregs,
+                    &program->result_reg_, lowered.result_vreg);
+  CompileStats& stats = program->stats_;
+  stats.ast_nodes = NodeSize(*query);
+  stats.num_instrs = static_cast<int>(program->code_.size());
+  stats.num_vregs = lowered.num_vregs;
+  stats.num_regs = program->num_regs_;
+  stats.dag_hits = lowered.dag_hits;
+  if (IsDownwardNode(*program->plan_)) {
+    if (auto downward = DownwardProgram::Compile(program->plan_)) {
+      program->downward_ =
+          std::make_unique<const DownwardProgram>(std::move(*downward));
+      stats.downward = true;
+      stats.bit_ops = static_cast<int>(program->downward_->code().size());
+    }
+  }
+  return program;
 }
 
 std::string Program::InstrToString(int i, const Alphabet& alphabet) const {
@@ -514,6 +591,30 @@ std::string Program::ToString(const Alphabet& alphabet) const {
   }
   if (downward_) os << downward_->ToString(alphabet);
   return os.str();
+}
+
+bool VerifyProgram(const Program& program, std::string* error) {
+  const auto fail = [error](const char* message) {
+    if (error != nullptr) *error = message;
+    return false;
+  };
+  if (program.main_end() < 0 ||
+      program.main_end() > static_cast<int>(program.code().size())) {
+    return fail("main_end out of bounds");
+  }
+  if (program.result_reg() < 0 || program.result_reg() >= program.num_regs()) {
+    return fail("result register out of bounds");
+  }
+  std::vector<char> visited(program.code().size(), 0);
+  if (!VerifyWalk(program, 0, program.main_end(), &visited, error)) {
+    return false;
+  }
+  for (size_t i = 0; i < visited.size(); ++i) {
+    if (!visited[i]) {
+      return fail("unreachable instruction (orphaned star body)");
+    }
+  }
+  return true;
 }
 
 }  // namespace exec

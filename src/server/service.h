@@ -45,8 +45,8 @@ struct ServiceOptions {
 /// parser, the one step that mutates the shared `Alphabet` (interning a
 /// label the corpus has never seen). Every other alphabet access at serve
 /// time — the explain path reading label names, `AddTreeXml` — takes that
-/// same lock (`PlanCache::LockAlphabets`), so simplification, interning,
-/// lowering and the superoptimizer of cold plans overlap across workers.
+/// same lock (`PlanCache::LockAlphabets`), so simplification, interning
+/// and lowering of cold plans overlap across workers.
 class QueryService {
  public:
   explicit QueryService(ServiceOptions options = ServiceOptions{});

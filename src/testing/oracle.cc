@@ -9,7 +9,6 @@
 #include "compile/to_dfta.h"
 #include "exec/engine.h"
 #include "exec/program.h"
-#include "exec/superopt.h"
 #include "logic/fo_eval.h"
 #include "logic/xpath_to_fo.h"
 #include "obs/trace.h"
@@ -17,7 +16,6 @@
 #include "xpath/engine.h"
 #include "xpath/eval.h"
 #include "xpath/eval_naive.h"
-#include "xpath/eval_seed.h"
 
 namespace xptc {
 namespace testing {
@@ -239,19 +237,6 @@ class SetsOracle : public Oracle {
   }
 };
 
-class SeedOracle : public Oracle {
- public:
-  SeedOracle()
-      : Oracle({.name = "seed",
-                .total_on = Dialect::kRegularXPathW,
-                // Quadratic-ish W handling; bounded like naive.
-                .max_tree_nodes = 96}) {}
-
-  Result<SelectedSet> Run(const Tree& tree, const NodePtr& query) override {
-    return SeedEvalNodeSet(tree, *query);
-  }
-};
-
 /// Runs each case through the full throughput path: Query::FromExpr (the
 /// simplifier), a BatchEngine on a persistent 3-worker pool, per-tree
 /// TreeCache and per-worker EvalScratch. One case = one 1×1 batch.
@@ -290,25 +275,6 @@ class ExecOracle : public Oracle {
   Result<SelectedSet> Run(const Tree& tree, const NodePtr& query) override {
     std::shared_ptr<const exec::Program> program =
         exec::Program::Compile(query);
-    exec::ExecEngine engine(tree);
-    return engine.EvalGeneral(*program);
-  }
-};
-
-/// The superoptimized compiled backend: the same lowering as `exec`, but
-/// run through the beam-search bytecode superoptimizer first (see
-/// exec/superopt.h) and evaluated on the general register machine. Fuzzing
-/// this against `exec` (and the rest of the registry) is the dynamic leg
-/// of the superoptimizer's equivalence argument: the structural witness
-/// check guards each rewrite, this oracle guards the composition.
-class SuperoptExecOracle : public Oracle {
- public:
-  SuperoptExecOracle()
-      : Oracle({.name = "sexec", .total_on = Dialect::kRegularXPathW}) {}
-
-  Result<SelectedSet> Run(const Tree& tree, const NodePtr& query) override {
-    std::shared_ptr<const exec::Program> program =
-        exec::Superoptimize(exec::Program::Compile(query));
     exec::ExecEngine engine(tree);
     return engine.EvalGeneral(*program);
   }
@@ -498,12 +464,10 @@ std::unique_ptr<OracleRegistry> MakeDefaultRegistry(
   auto registry = std::make_unique<OracleRegistry>();
   registry->Register(std::make_unique<NaiveOracle>());
   registry->Register(std::make_unique<SetsOracle>());
-  registry->Register(std::make_unique<SeedOracle>());
   if (options.include_batch) {
     registry->Register(std::make_unique<BatchOracle>());
   }
   registry->Register(std::make_unique<ExecOracle>());
-  registry->Register(std::make_unique<SuperoptExecOracle>());
   registry->Register(std::make_unique<DownwardExecOracle>());
   if (options.include_heavy) {
     registry->Register(std::make_unique<FOOracle>(options));

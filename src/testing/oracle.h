@@ -168,16 +168,14 @@ struct DefaultRegistryOptions {
   int dfta_max_query_size = 10;
 };
 
-/// Builds the ten-pipeline registry:
+/// Builds the eight-pipeline registry:
 ///
 ///   name   | pipeline                              | total on
 ///   -------+---------------------------------------+--------------------
 ///   naive  | eval_naive (explicit relations)       | RegXPath(W)
 ///   sets   | Evaluator (word-level kernel engine)  | RegXPath(W)
-///   seed   | SeedEvaluator (frozen baseline)       | RegXPath(W)
 ///   batch  | BatchEngine (parallel throughput path)| RegXPath(W)
 ///   exec   | compiled bytecode register machine    | RegXPath(W)
-///   sexec  | superoptimized bytecode (beam search) | RegXPath(W)
 ///   dexec  | one-pass downward bit-program engine  | downward fragment
 ///   fo     | xpath_to_fo + FO(MTC) model checker   | RegXPath(W), gated
 ///   ntwa   | XPathToNtwaCompiler + EvalAll         | compilable frag.

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/alphabet.h"
 #include "common/result.h"
@@ -40,8 +39,8 @@ namespace xptc {
 ///
 /// Thread-safety: every method may be called concurrently. A miss takes
 /// the cache lock only for the index lookup, the interning and the insert;
-/// parsing, simplification, lowering and the superoptimizer run outside
-/// it, so cold compiles on different threads overlap. The one step that
+/// parsing, simplification and lowering run outside it, so cold compiles
+/// on different threads overlap; a hit takes it once. The one step that
 /// mutates the caller's `Alphabet` — the parser interning a new label — is
 /// serialised on a second mutex the cache owns (`LockAlphabets`); any
 /// other code that reads or writes an alphabet this cache may be parsing
@@ -68,10 +67,7 @@ class PlanCache {
     // program hit even though it was a text miss.
     size_t program_hits = 0;
     size_t program_misses = 0;   // == number of lowering runs
-    size_t profile_reopts = 0;   // warm plans re-cached with a profile-fed
-                                 // superoptimization (see RecordExecution)
     double lowering_seconds = 0; // total wall time inside Program::Compile
-    double superopt_seconds = 0; // total wall time inside Superoptimize
   };
 
   /// What `ParseCompiled` hands out: the cached plan plus its compiled
@@ -101,32 +97,12 @@ class PlanCache {
   /// `Parse` plus a compiled bytecode program for the plan (the compiled
   /// execution backend's entry point). Programs are cached keyed by the
   /// canonical (hash-consed) plan root, so texts that simplify to the same
-  /// plan compile once; lowering and the beam-search superoptimizer (see
-  /// exec/superopt.h) run outside the cache lock, and the cached program is
-  /// the superoptimized one — every later hit reuses the rewrite. The
-  /// strong program reference rides on the LRU entry: eviction releases
+  /// plan compile once; lowering runs outside the cache lock. The strong
+  /// program reference rides on the LRU entry: eviction releases
   /// it, but handed-out `CompiledQuery`s keep theirs alive (shared_ptr).
   Result<CompiledQuery> ParseCompiled(const std::string& text,
                                       Alphabet* alphabet,
                                       bool optimize = true);
-
-  /// A plan counts as warm — eligible for one profile-fed
-  /// re-superoptimization — after this many recorded executions.
-  static constexpr int kWarmProfiledRuns = 2;
-
-  /// Feeds one execution's per-instruction counts (`RunInfo::instr_execs`
-  /// from the engine that ran `compiled.program`) back into the cache.
-  /// Counts accumulate per canonical plan root; once a root is warm
-  /// (`kWarmProfiledRuns` recorded runs), the next `ParseCompiled` hit for
-  /// it re-runs the superoptimizer with `options.observed_execs` — the
-  /// measured profile instead of the static star-round guess — and
-  /// re-caches the result when its modeled cost improves, bumping
-  /// `plan_cache.profile_reopt` and noting the active trace. Profiles
-  /// against a stale program (recorded across a reopt or an
-  /// eviction+recompile) are dropped; each root reoptimizes at most once
-  /// per cached program generation. Thread-safe.
-  void RecordExecution(const Alphabet* alphabet, const CompiledQuery& compiled,
-                       const std::vector<int64_t>& instr_execs);
 
   /// Drops every cached plan and the interner belonging to `alphabet`.
   /// Call before destroying an alphabet the cache has seen (see class
@@ -182,11 +158,6 @@ class PlanCache {
   struct ProgramSlot {
     NodePtr plan;
     std::weak_ptr<const exec::Program> program;
-    // Accumulated RecordExecution profile, index-aligned with the live
-    // program's code; reset whenever the cached program changes.
-    std::vector<int64_t> observed_execs;
-    int profiled_runs = 0;
-    bool reopt_attempted = false;  // one profile reopt per program generation
   };
   /// One alphabet's program slots. Expired slots are swept when the map
   /// reaches `next_sweep` — twice its size after the previous sweep, and
@@ -205,16 +176,6 @@ class PlanCache {
   /// Looks up a live program for `root` under mu_; also records a hit.
   std::shared_ptr<const exec::Program> ProgramHitLocked(
       const Alphabet* alphabet, const NodeExpr* root);
-  /// The program slot for `root`, or nullptr. Caller holds mu_.
-  ProgramSlot* SlotLocked(const Alphabet* alphabet, const NodeExpr* root);
-  /// Re-runs the superoptimizer on a warm program under its recorded
-  /// profile (`observed` — a snapshot taken under mu_), re-caching and
-  /// rewriting `out->program` on a modeled-cost win. Takes mu_ itself;
-  /// call unlocked. See RecordExecution.
-  void ReoptimizeWarm(const Key& key, const Alphabet* alphabet,
-                      const NodeExpr* root,
-                      const std::vector<int64_t>& observed,
-                      CompiledQuery* out);
   /// Attaches `program` to the LRU entry for `key`, if resident.
   void AttachProgramLocked(const Key& key,
                            std::shared_ptr<const exec::Program> program);
@@ -241,9 +202,7 @@ class PlanCache {
   obs::Counter evictions_;
   obs::Counter program_hits_;
   obs::Counter program_misses_;
-  obs::Counter profile_reopts_;
   obs::Counter lowering_ns_;
-  obs::Counter superopt_ns_;
   obs::Registry::CollectorHandle collector_;
 };
 

@@ -2,7 +2,7 @@
 // trees × generated queries. Node-expression checks go through the
 // cross-formalism oracle registry (src/testing/oracle.h), which compares
 // the kernel-optimized `Evaluator` against the naive reference semantics
-// and the retained `SeedEvaluator` bit for bit — including `W`-heavy
+// and the compiled bytecode engine bit for bit — including `W`-heavy
 // queries, nested stars, and deep chain trees that stress the semi-naive
 // fixpoints. Path (binary-relation) checks stay direct: the registry's
 // oracle interface is unary. Well over 1000 (tree, query) pairs run per
@@ -23,7 +23,6 @@
 #include "xpath/engine.h"
 #include "xpath/eval.h"
 #include "xpath/eval_naive.h"
-#include "xpath/eval_seed.h"
 #include "xpath/generator.h"
 #include "xpath/parser.h"
 #include "test_util.h"
@@ -37,7 +36,7 @@ using xptc::testing::Disagreement;
 using xptc::testing::MakeDefaultRegistry;
 using xptc::testing::OracleRegistry;
 
-/// The cheap three-engine registry (naive / sets / seed) used by the node
+/// The cheap engine registry (naive / sets / exec / dexec) used by the node
 /// sweeps below; heavy logic/automata oracles have their own suites.
 std::unique_ptr<OracleRegistry> MakeCheapRegistry(Alphabet* alphabet) {
   xptc::testing::DefaultRegistryOptions options;
@@ -75,7 +74,7 @@ Bitset NaiveBackImage(const BitMatrix& relation, const Bitset& targets) {
 }
 
 /// One differential check of a path expression on a tree: EvalFwd and
-/// EvalBack from a random source/target set, against naive and seed.
+/// EvalBack from a random source/target set, against naive.
 void CheckPath(const Tree& tree, const PathExpr& path, Rng* rng,
                const Alphabet& alphabet) {
   const BitMatrix reference = EvalPathNaive(tree, path);
@@ -83,22 +82,15 @@ void CheckPath(const Tree& tree, const PathExpr& path, Rng* rng,
   const Bitset targets = RandomNodeSet(tree, rng);
 
   Evaluator opt(tree);
-  SeedEvaluator seed(tree);
 
   const Bitset fwd = opt.EvalFwd(path, sources);
   ASSERT_EQ(fwd, NaiveFwdImage(reference, sources))
       << "EvalFwd vs naive for " << PathToString(path, alphabet) << " on "
       << tree.ToTerm(alphabet);
-  ASSERT_EQ(fwd, seed.EvalFwd(path, sources))
-      << "EvalFwd vs seed for " << PathToString(path, alphabet) << " on "
-      << tree.ToTerm(alphabet);
 
   const Bitset back = opt.EvalBack(path, targets);
   ASSERT_EQ(back, NaiveBackImage(reference, targets))
       << "EvalBack vs naive for " << PathToString(path, alphabet) << " on "
-      << tree.ToTerm(alphabet);
-  ASSERT_EQ(back, seed.EvalBack(path, targets))
-      << "EvalBack vs seed for " << PathToString(path, alphabet) << " on "
       << tree.ToTerm(alphabet);
 }
 
@@ -133,7 +125,7 @@ TEST(EvalDiffTest, RandomTreesRandomQueries) {
   }
   EXPECT_GE(pairs, 780);
   // Every node case must have been compared against the reference by at
-  // least two other engines (sets + seed vs naive).
+  // least two other engines (sets + exec vs naive).
   EXPECT_GE(registry->stats().comparisons, 2 * 390);
 }
 
@@ -212,7 +204,7 @@ TEST(EvalDiffTest, DeepStarsOnChains) {
 TEST(EvalDiffTest, BatchEngineMatchesSequentialLoop) {
   // The throughput layer re-enters this harness: random trees × random
   // W-enabled queries, the parallel BatchEngine against a plain sequential
-  // Query::Select loop (which itself is covered against naive/seed above).
+  // Query::Select loop (which itself is covered against naive/exec above).
   Alphabet alphabet;
   Rng rng(31337);
   const std::vector<Symbol> labels = DefaultLabels(&alphabet, 3);

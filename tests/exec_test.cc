@@ -1,5 +1,6 @@
 // Tests for the compiled execution backend (src/exec/): lowering
-// determinism, DAG sharing, register allocation, the bytecode register
+// determinism, DAG sharing, the fuse and value-numbering rules, register
+// allocation, the bytecode register
 // machine, the one-pass downward engine, and the integration surfaces
 // (BatchEngine::RunCompiled, PlanCache::ParseCompiled).
 //
@@ -11,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/alphabet.h"
@@ -86,6 +89,97 @@ TEST(ExecProgramTest, DagSharingCollapsesRepeatedSubexpressions) {
             Interpret(tree, query));
 }
 
+// The op mnemonic of each instruction of `program`, in layout order.
+std::vector<std::string> Ops(const Program& program, const Alphabet& alphabet) {
+  std::vector<std::string> ops;
+  for (int i = 0; i < static_cast<int>(program.code().size()); ++i) {
+    const std::string ins = program.InstrToString(i, alphabet);
+    const size_t begin = ins.find("= ") + 2;
+    ops.push_back(ins.substr(begin, ins.find(' ', begin) - begin));
+  }
+  return ops;
+}
+
+int CountOp(const Program& program, const Alphabet& alphabet,
+            const std::string& op) {
+  const std::vector<std::string> ops = Ops(program, alphabet);
+  return static_cast<int>(std::count(ops.begin(), ops.end(), op));
+}
+
+TEST(ExecProgramTest, NotOperandsFuseIntoAndNot) {
+  Alphabet alphabet;
+  auto program = Program::Compile(N("a and not b", &alphabet));
+  EXPECT_EQ(Ops(*program, alphabet),
+            (std::vector<std::string>{"label", "label", "andnot"}));
+
+  // A filter `[not a]` inside a star body fuses too; the `label a` it
+  // reads is hoisted into main like any predicate.
+  program = Program::Compile(N("<(child[not a])*[b]>", &alphabet));
+  EXPECT_EQ(program->code().size(), 7u) << program->ToString(alphabet);
+  const exec::Instr* star = nullptr;
+  for (const exec::Instr& ins : program->code()) {
+    if (ins.op == exec::Op::kStar) star = &ins;
+  }
+  ASSERT_NE(star, nullptr);
+  bool andnot_in_body = false;
+  for (int i = star->body_begin; i < star->body_end; ++i) {
+    andnot_in_body |= program->code()[static_cast<size_t>(i)].op ==
+                      exec::Op::kAndNot;
+  }
+  EXPECT_TRUE(andnot_in_body) << program->ToString(alphabet);
+  EXPECT_EQ(CountOp(*program, alphabet, "not"), 0);
+}
+
+TEST(ExecProgramTest, NotIsEmittedOnlyWhenReadAsAValue) {
+  // The left `not a` is read as a value (the `or` fuses its right operand
+  // instead), so one kNot exists; the filter `[not a]` still fuses into an
+  // andnot over a's register rather than reading that kNot.
+  Alphabet alphabet;
+  auto program = Program::Compile(N("not a or not <child[not a]>", &alphabet));
+  EXPECT_EQ(CountOp(*program, alphabet, "not"), 1)
+      << program->ToString(alphabet);
+  EXPECT_EQ(CountOp(*program, alphabet, "andnot"), 1);
+  EXPECT_EQ(CountOp(*program, alphabet, "ornot"), 1);
+}
+
+TEST(ExecProgramTest, ValueNumberingEmitsEachInstructionOnce) {
+  Alphabet alphabet;
+  // The `[h]` filter over all nodes is needed by both disjuncts.
+  auto program =
+      Program::Compile(N("<foll[g and <child[h]>]> or <prec[h]>", &alphabet));
+  EXPECT_EQ(program->code().size(), 10u) << program->ToString(alphabet);
+  // Commuted conjunctions are one instruction.
+  program = Program::Compile(N("(a and b) or (b and a)", &alphabet));
+  EXPECT_EQ(CountOp(*program, alphabet, "and"), 1)
+      << program->ToString(alphabet);
+}
+
+TEST(ExecProgramTest, ServingBenchmarkBatchTextsKeepTheirInstructionCounts) {
+  // The big_batch texts of perfbench/, compiled as the server compiles
+  // them (parse, simplify, lower).
+  const std::pair<const char*, size_t> cases[] = {
+      {"<(child[not a])*[b]>", 7},
+      {"<(child[not (a and <child[b and <child[c]>]>)])*"
+       "[d and <child[e and <child[f]>]>]>",
+       23},
+      {"<(parent)*[c]> and <(child)*[d]>", 8},
+      {"<(parent[not e])*[f]>", 7},
+      {"<(fsib)*[e]> or <(psib[f])*[g]>", 11},
+      {"<desc[a and <child[b]>]> and not <anc[c]>", 12},
+      {"<foll[g and <child[h]>]> or <prec[h]>", 10},
+      {"W(a or <prec[b]>) and <(child/child)*[g]>", 8},
+  };
+  Alphabet alphabet;
+  size_t total = 0;
+  for (const auto& [text, instrs] : cases) {
+    auto program = Program::Compile(SimplifyNode(N(text, &alphabet)));
+    EXPECT_EQ(program->code().size(), instrs)
+        << text << "\n" << program->ToString(alphabet);
+    total += program->code().size();
+  }
+  EXPECT_EQ(total, 86u);
+}
+
 TEST(ExecProgramTest, RegisterAllocationReusesRegisters) {
   // A long chain of steps defines many SSA values with short live ranges;
   // linear scan must recycle physical registers instead of giving every
@@ -150,6 +244,9 @@ TEST(ExecEngineTest, MatchesInterpreterOnRandomCorpus) {
       NodePtr query =
           GenerateNode(OptionsForFragment(fragment, 3), labels, &rng);
       auto program = Program::Compile(query);
+      std::string error;
+      ASSERT_TRUE(exec::VerifyProgram(*program, &error))
+          << error << " in " << NodeToString(*query, alphabet);
       for (const Tree& tree : trees) {
         ExecEngine engine(tree);
         ASSERT_EQ(engine.EvalGeneral(*program), Interpret(tree, query))

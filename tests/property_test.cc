@@ -52,7 +52,7 @@ class SeededProperty : public ::testing::TestWithParam<uint64_t> {
 };
 
 // Property 1: all engine-tier evaluation pipelines (naive relational
-// semantics, set-based evaluator, retained seed engine) agree on node
+// semantics, set-based evaluator, compiled bytecode engine) agree on node
 // sets — checked through the oracle registry — and the set-based
 // evaluator agrees with the naive semantics on full relations.
 class EvaluatorAgreement : public SeededProperty {};
@@ -79,7 +79,7 @@ TEST_P(EvaluatorAgreement, HoldsOnRandomInstances) {
   }
   EXPECT_EQ(RunsOf(*registry, "naive"), 25);
   EXPECT_EQ(RunsOf(*registry, "sets"), 25);
-  EXPECT_EQ(RunsOf(*registry, "seed"), 25);
+  EXPECT_EQ(RunsOf(*registry, "exec"), 25);
 }
 INSTANTIATE_TEST_SUITE_P(Seeds, EvaluatorAgreement,
                          ::testing::ValuesIn(kSeeds));
