@@ -221,7 +221,7 @@ void ThroughputReport(Corpus& corpus, std::ostringstream* json) {
       auto results = engine.Run(corpus.queries);
       benchmark::DoNotOptimize(results);
     });
-    // Warm: same engine re-run — TreeCaches and per-worker scratch pools
+    // Warm: same engine re-run — TreeCaches and per-worker ExecEngines
     // are populated, steady-state serving throughput.
     BatchOptions options;
     options.num_workers = workers;

@@ -99,11 +99,9 @@ std::vector<DagResult> DagReport(int n, bool* all_match) {
   Alphabet alphabet;
   const Tree tree =
       bench::BenchTree(&alphabet, n, TreeShape::kUniformRecursive, 7);
-  // Warm engines on both sides: the interpreter reuses an EvalScratch (its
-  // production steady state under BatchEngine), the compiled side reuses
-  // one ExecEngine register file; programs are compiled once (the plan-
-  // cache steady state).
-  EvalScratch scratch(tree);
+  // The interpreter (the reference engine) builds a fresh Evaluator per
+  // query; the compiled side reuses one ExecEngine register file, and
+  // programs are compiled once (the plan-cache steady state).
   exec::ExecEngine engine(tree);
   const int inner = bench::SmokeMode() ? 3 : 10;
   std::vector<DagResult> results;
@@ -116,7 +114,7 @@ std::vector<DagResult> DagReport(int n, bool* all_match) {
     Bitset interp_bits(0), compiled_bits(0);
     result.interp_seconds = bench::MedianSecondsN(
         [&] {
-          Evaluator evaluator(tree, &scratch);
+          Evaluator evaluator(tree);
           interp_bits = evaluator.EvalNode(*query);
         },
         inner);
@@ -187,14 +185,13 @@ std::vector<DownwardCase> DownwardReport(bool* all_match) {
     for (int n : sizes) {
       const Tree tree =
           bench::BenchTree(&alphabet, n, TreeShape::kUniformRecursive, 5);
-      EvalScratch scratch(tree);
       exec::ExecEngine engine(tree);
       DownwardRow row;
       row.n = n;
       Bitset interp_bits(0), general_bits(0), onepass_bits(0),
           hybrid_bits(0);
       row.interp_seconds = bench::MedianSeconds([&] {
-        Evaluator evaluator(tree, &scratch);
+        Evaluator evaluator(tree);
         interp_bits = evaluator.EvalNode(*query);
       });
       row.general_seconds = bench::MedianSeconds(
@@ -268,7 +265,6 @@ std::vector<AdversarialRow> AdversarialReport(bool* all_match) {
     for (int i = 0; i < n; ++i) builder.Begin(i == n - 1 ? b : a);
     for (int i = 0; i < n; ++i) builder.End();
     const Tree tree = std::move(builder).Finish().ValueOrDie();
-    EvalScratch scratch(tree);
     exec::ExecEngine engine(tree);
     AdversarialRow row;
     row.n = n;
@@ -276,7 +272,7 @@ std::vector<AdversarialRow> AdversarialReport(bool* all_match) {
     // The quadratic engines get one rep (minutes-scale otherwise).
     row.interp_seconds = bench::MedianSeconds(
         [&] {
-          Evaluator evaluator(tree, &scratch);
+          Evaluator evaluator(tree);
           interp_bits = evaluator.EvalNode(*query);
         },
         1);

@@ -123,7 +123,6 @@ std::vector<ClosureCase> ClosureReport(bool* all_ok) {
     const Tree tree =
         is_chain ? SparseChain(spec.n, a, b, c)
                  : bench::BenchTree(&alphabet, spec.n, spec.shape, 11);
-    EvalScratch scratch(tree);
     exec::ExecEngine engine(tree);
     for (Axis ax : axes) {
       // Chain vertical stars get the single far-end seed; everything else
@@ -154,10 +153,10 @@ std::vector<ClosureCase> ClosureReport(bool* all_ok) {
       // Bit-for-bit: fixpoint, collapsed, and the interpreter with the
       // fast path both off and on.
       axis::SetClosureCollapseForTesting(false);
-      Evaluator slow_eval(tree, &scratch);
+      Evaluator slow_eval(tree);
       const Bitset interp_fix = slow_eval.EvalNode(*query);
       axis::ResetClosureCollapseForTesting();
-      Evaluator fast_eval(tree, &scratch);
+      Evaluator fast_eval(tree);
       const Bitset interp_clo = fast_eval.EvalNode(*query);
       result.match = fix_bits == clo_bits && fix_bits == interp_fix &&
                      fix_bits == interp_clo;

@@ -28,7 +28,7 @@ namespace xptc {
 ///
 /// Tasks receive the executing worker's id in [0, num_workers()), which
 /// lets callers keep lock-free per-worker state (e.g. the per-worker
-/// `EvalScratch` pools of `BatchEngine`): a worker id is only ever active
+/// `ExecEngine` rows of `BatchEngine`): a worker id is only ever active
 /// on one OS thread at a time.
 ///
 /// All synchronisation is plain mutex/condvar (the only atomic is the

@@ -49,6 +49,13 @@ struct ExecMetrics {
   obs::Counter& disp_downward;
   obs::Counter& disp_general;
   obs::Counter& deadline_expired;
+  // `W` provenance (L1 = the engine's memo, L2 = the shared TreeCache,
+  // computed = paid the bottom-up pass), read by EXPLAIN and the serving
+  // benchmark under their historical `eval.` names.
+  obs::Counter& within_l1_hits;
+  obs::Counter& within_l2_hits;
+  obs::Counter& within_computed;
+  obs::Histogram& within_compute_ns;
   static ExecMetrics& Get() {
     obs::Registry& reg = obs::Registry::Default();
     static ExecMetrics* m = new ExecMetrics{
@@ -59,7 +66,11 @@ struct ExecMetrics {
         reg.counter("exec.dispatch.downward_fallback"),
         reg.counter("exec.dispatch.downward_direct"),
         reg.counter("exec.dispatch.general"),
-        reg.counter("exec.deadline_expired")};
+        reg.counter("exec.deadline_expired"),
+        reg.counter("eval.within_l1_hits"),
+        reg.counter("eval.within_l2_hits"),
+        reg.counter("eval.within_computed"),
+        reg.histogram("eval.w_compute_ns")};
     return *m;
   }
 };
@@ -69,6 +80,9 @@ obs::Histogram& EvalFlame() {
       &obs::Registry::Default().histogram("exec.eval_ns");
   return *h;
 }
+
+// Contexts between two deadline probes of a W pass.
+constexpr int kWithinProbeStride = 64;
 
 }  // namespace
 
@@ -98,6 +112,10 @@ bool ExecEngine::DeadlineExpired() const {
 
 void ExecEngine::BeginRun(const Program& program, RunInfo::Dispatch dispatch,
                           int64_t budget) {
+  lo_ = 0;
+  hi_ = n_;
+  within_sets_.assign(program.within_bodies().size(), nullptr);
+  within_probed_.assign(program.within_bodies().size(), 0);
   last_run_.dispatch = dispatch;
   last_run_.star_rounds_used = 0;
   last_run_.star_round_budget = budget;
@@ -159,26 +177,12 @@ Bitset ExecEngine::Eval(const Program& program) {
   obs::TraceSpan span("exec.eval", &EvalFlame());
   ExecMetrics::Get().evals.Inc();
   last_used_downward_ = false;
-  if (program.downward() == nullptr) {
-    BeginRun(program, RunInfo::Dispatch::kGeneral, 0);
-    if (DeadlineExpired()) return AbandonRun();
-    while (static_cast<int>(regs_.size()) < program.num_regs()) {
-      regs_.emplace_back(n_);
-    }
-    star_rounds_left_ = std::numeric_limits<int64_t>::max();
-    if (!RunRange(program, 0, program.main_end())) return AbandonRun();
-    Bitset& result = regs_[static_cast<size_t>(program.result_reg())];
-    FinishRun(&result);
-    return result;
-  }
-  while (static_cast<int>(regs_.size()) < program.num_regs()) {
-    regs_.emplace_back(n_);
-  }
+  if (program.downward() == nullptr) return RunGeneral(program);
   const int64_t budget = StarRoundBudget(program);
   BeginRun(program, RunInfo::Dispatch::kRegisterMachine, budget);
   if (DeadlineExpired()) return AbandonRun();
   star_rounds_left_ = budget;
-  if (RunRange(program, 0, program.main_end())) {
+  if (RunMain(program)) {
     Bitset& result = regs_[static_cast<size_t>(program.result_reg())];
     FinishRun(&result);
     return result;
@@ -192,6 +196,24 @@ Bitset ExecEngine::Eval(const Program& program) {
   last_run_.dispatch = RunInfo::Dispatch::kDownwardFallback;
   last_used_downward_ = true;
   Bitset result = program.downward()->Run(tree_, &agg_);
+  FinishRun(&result);
+  return result;
+}
+
+bool ExecEngine::RunMain(const Program& program) {
+  while (static_cast<int>(regs_.size()) < program.num_regs()) {
+    regs_.emplace_back(n_);
+  }
+  return RunRange(program, 0, program.main_end(), regs_.data(),
+                  last_run_.instr_execs.data());
+}
+
+Bitset ExecEngine::RunGeneral(const Program& program) {
+  BeginRun(program, RunInfo::Dispatch::kGeneral, 0);
+  if (DeadlineExpired()) return AbandonRun();
+  star_rounds_left_ = std::numeric_limits<int64_t>::max();
+  if (!RunMain(program)) return AbandonRun();
+  Bitset& result = regs_[static_cast<size_t>(program.result_reg())];
   FinishRun(&result);
   return result;
 }
@@ -219,17 +241,8 @@ Bitset ExecEngine::EvalDownward(const Program& program) {
 Bitset ExecEngine::EvalGeneral(const Program& program) {
   obs::TraceSpan span("exec.eval", &EvalFlame());
   ExecMetrics::Get().evals.Inc();
-  BeginRun(program, RunInfo::Dispatch::kGeneral, 0);
   last_used_downward_ = false;
-  if (DeadlineExpired()) return AbandonRun();
-  while (static_cast<int>(regs_.size()) < program.num_regs()) {
-    regs_.emplace_back(n_);
-  }
-  star_rounds_left_ = std::numeric_limits<int64_t>::max();
-  if (!RunRange(program, 0, program.main_end())) return AbandonRun();
-  Bitset& result = regs_[static_cast<size_t>(program.result_reg())];
-  FinishRun(&result);
-  return result;
+  return RunGeneral(program);
 }
 
 const Bitset& ExecEngine::LabelSet(Symbol label) {
@@ -249,65 +262,174 @@ const Bitset& ExecEngine::LabelSet(Symbol label) {
   return *set;
 }
 
-bool ExecEngine::RunRange(const Program& program, int begin, int end) {
+const Bitset* ExecEngine::FindWithin(const WithinBody& body) {
+  auto it = within_l1_.find(body.body.get());
+  if (it != within_l1_.end()) {
+    ExecMetrics::Get().within_l1_hits.Inc();
+    obs::TraceAddCount("w.l1_hits", 1);
+    return it->second;
+  }
+  // L2: the per-tree cross-query cache, shared with other workers. A hit
+  // means some earlier evaluation — possibly of a different query on a
+  // different thread — already paid for this body on this tree.
+  if (tree_cache_ == nullptr) return nullptr;
+  const Bitset* set = tree_cache_->FindWithin(*body.body);
+  if (set != nullptr) {
+    ExecMetrics::Get().within_l2_hits.Inc();
+    obs::TraceAddCount("w.l2_hits", 1);
+    obs::TraceNote("W: tree_cache (L2) hit");
+  }
+  return set;
+}
+
+void ExecEngine::RememberWithin(const WithinBody& body, int w,
+                                const Bitset* set) {
+  if (within_l1_.emplace(body.body.get(), set).second) {
+    within_pins_.push_back(body.body);
+  }
+  within_sets_[static_cast<size_t>(w)] = set;
+}
+
+bool ExecEngine::ResolveWithin(const Program& program, int w) {
+  const std::vector<WithinBody>& bodies = program.within_bodies();
+  within_stack_.assign(1, w);
+  while (!within_stack_.empty()) {
+    const int top = within_stack_.back();
+    const size_t slot = static_cast<size_t>(top);
+    if (within_sets_[slot] != nullptr) {
+      within_stack_.pop_back();
+      continue;
+    }
+    const WithinBody& body = bodies[slot];
+    if (!within_probed_[slot]) {
+      within_probed_[slot] = 1;
+      if (const Bitset* set = FindWithin(body)) {
+        RememberWithin(body, top, set);
+        within_stack_.pop_back();
+        continue;
+      }
+    }
+    // A miss: its inner bodies (earlier in post-order) come first.
+    bool ready = true;
+    for (const int dep : body.deps) {
+      if (within_sets_[static_cast<size_t>(dep)] == nullptr) {
+        within_stack_.push_back(dep);
+        ready = false;
+      }
+    }
+    if (!ready) continue;
+    if (!ComputeWithin(program, top)) return false;
+    within_stack_.pop_back();
+  }
+  return true;
+}
+
+bool ExecEngine::ComputeWithin(const Program& program, int w) {
+  const WithinBody& body = program.within_bodies()[static_cast<size_t>(w)];
+  const Program& code = *body.program;
+  ExecMetrics::Get().within_computed.Inc();
+  obs::TraceAddCount("w.computed", 1);
+  obs::TraceSpan span("eval.w_compute",
+                      &ExecMetrics::Get().within_compute_ns);
+  span.Note("W: no cached set, computed bottom-up");
+  while (static_cast<int>(w_regs_.size()) < code.num_regs()) {
+    w_regs_.emplace_back(n_);
+  }
+  // wset[v] = 1 iff the body holds at v in context T|v. That depends only
+  // on the subtree of v, so one pass over the whole tree serves every
+  // context and nesting level. Descending preorder ids visit leaves first;
+  // each context runs in its own window on the spare bank, with no star
+  // budget, and clears that window afterwards so the next context's
+  // sources stay inside it.
+  const int64_t saved_rounds = star_rounds_left_;
+  star_rounds_left_ = std::numeric_limits<int64_t>::max();
+  Bitset wset(n_);
+  bool done = true;
+  for (NodeId v = n_ - 1; v >= 0; --v) {
+    if ((n_ - 1 - v) % kWithinProbeStride == 0 && DeadlineExpired()) {
+      last_run_.deadline_expired = true;
+      done = false;
+      break;
+    }
+    lo_ = v;
+    hi_ = tree_.SubtreeEnd(v);
+    done = RunRange(code, 0, code.main_end(), w_regs_.data(), nullptr);
+    if (done && w_regs_[static_cast<size_t>(code.result_reg())].Get(v)) {
+      wset.Set(v);
+    }
+    for (int r = 0; r < code.num_regs(); ++r) {
+      w_regs_[static_cast<size_t>(r)].ResetRange(lo_, hi_);
+    }
+    if (!done) break;
+  }
+  lo_ = 0;
+  hi_ = n_;
+  star_rounds_left_ = saved_rounds;
+  if (!done) return false;  // abandoned: nothing stored
+  const Bitset* set;
+  if (tree_cache_ != nullptr) {
+    // Racing computers of the same body converge on the first insert.
+    set = &tree_cache_->StoreWithin(body.body, std::move(wset));
+  } else {
+    set = &local_within_.emplace_back(std::move(wset));
+  }
+  RememberWithin(body, w, set);
+  return true;
+}
+
+bool ExecEngine::RunRange(const Program& program, int begin, int end,
+                          Bitset* regs, int64_t* instr_execs) {
   const std::vector<Instr>& code = program.code();
+  const int lo = lo_;
+  const int hi = hi_;
   for (int i = begin; i < end; ++i) {
     const Instr& ins = code[static_cast<size_t>(i)];
-    ++last_run_.instrs_executed;
-    ++last_run_.instr_execs[static_cast<size_t>(i)];
-    Bitset& dst = regs_[static_cast<size_t>(ins.dst)];
+    if (instr_execs != nullptr) {
+      ++last_run_.instrs_executed;
+      ++instr_execs[i];
+    }
+    Bitset& dst = regs[ins.dst];
     switch (ins.op) {
       case Op::kTrue:
-        dst.SetAll();
+        dst.SetRange(lo, hi);
         break;
       case Op::kLabel:
-        dst.CopyRange(LabelSet(ins.label), 0, n_);
+        dst.CopyRange(LabelSet(ins.label), lo, hi);
         break;
       case Op::kNot:
-        dst.NotRange(regs_[static_cast<size_t>(ins.a)], 0, n_);
+        dst.NotRange(regs[ins.a], lo, hi);
         break;
       case Op::kAnd:
-        dst.CopyRange(regs_[static_cast<size_t>(ins.a)], 0, n_);
-        dst &= regs_[static_cast<size_t>(ins.b)];
+        dst.CopyRange(regs[ins.a], lo, hi);
+        dst.AndRange(regs[ins.b], lo, hi);
         break;
       case Op::kOr:
-        dst.CopyRange(regs_[static_cast<size_t>(ins.a)], 0, n_);
-        dst |= regs_[static_cast<size_t>(ins.b)];
+        dst.CopyRange(regs[ins.a], lo, hi);
+        dst.OrRange(regs[ins.b], lo, hi);
         break;
       case Op::kAndNot:
-        dst.AndNotRange(regs_[static_cast<size_t>(ins.a)],
-                        regs_[static_cast<size_t>(ins.b)], 0, n_);
+        dst.AndNotRange(regs[ins.a], regs[ins.b], lo, hi);
         break;
       case Op::kOrNot:
-        dst.OrNotRange(regs_[static_cast<size_t>(ins.a)],
-                       regs_[static_cast<size_t>(ins.b)], 0, n_);
+        dst.OrNotRange(regs[ins.a], regs[ins.b], lo, hi);
         break;
       case Op::kAxis:
-        dst.ResetAll();  // the kernels require a clear output window
-        AxisImageInto(tree_, ins.axis, regs_[static_cast<size_t>(ins.a)], 0,
-                      n_, &dst, calibration_);
-        // Per-axis-kernel node touches: the size of the produced image,
-        // keyed by axis. Only counted (and only paid — CountRange is
-        // O(n/64)) when a trace is active on this thread.
-        if (obs::TraceNode* cur = obs::QueryTrace::Current()) {
-          cur->AddAttr(std::string("axis.") + AxisToString(ins.axis) +
-                           ".touches",
-                       dst.CountRange(0, n_));
-        }
-        break;
       case Op::kDescFill:
       case Op::kAncMark:
       case Op::kSibChain: {
+        const Bitset& src = regs[ins.a];
+        dst.ResetRange(lo, hi);  // the kernels require a clear output window
+        AxisImageInto(tree_, ins.axis, src, lo, hi, &dst, calibration_);
         // Collapsed star: dst := seed ∪ closure-image(seed), one streamed
         // kernel pass instead of an O(depth)-round fixpoint loop.
-        const Bitset& seed = regs_[static_cast<size_t>(ins.a)];
-        dst.ResetAll();
-        AxisImageInto(tree_, ins.axis, seed, 0, n_, &dst, calibration_);
-        dst.OrRange(seed, 0, n_);
+        if (ins.op != Op::kAxis) dst.OrRange(src, lo, hi);
+        // Per-axis-kernel node touches: the size of the produced image,
+        // keyed by axis. Only counted (and only paid — CountRange is
+        // O(window/64)) when a trace is active on this thread.
         if (obs::TraceNode* cur = obs::QueryTrace::Current()) {
           cur->AddAttr(std::string("axis.") + AxisToString(ins.axis) +
                            ".touches",
-                       dst.CountRange(0, n_));
+                       dst.CountRange(lo, hi));
         }
         break;
       }
@@ -317,13 +439,13 @@ bool ExecEngine::RunRange(const Program& program, int begin, int end) {
         // only genuinely new nodes re-enter the loop. The allocator keeps
         // dst/in/out in distinct registers and anything read inside the
         // body live across the whole loop.
-        const Bitset& seed = regs_[static_cast<size_t>(ins.a)];
-        Bitset& frontier = regs_[static_cast<size_t>(ins.in)];
-        Bitset& step = regs_[static_cast<size_t>(ins.out)];
-        dst.CopyRange(seed, 0, n_);
-        frontier.CopyRange(seed, 0, n_);
-        while (frontier.Any()) {
-          ++last_run_.star_rounds_used;
+        const Bitset& seed = regs[ins.a];
+        Bitset& frontier = regs[ins.in];
+        Bitset& step = regs[ins.out];
+        dst.CopyRange(seed, lo, hi);
+        frontier.CopyRange(seed, lo, hi);
+        while (frontier.AnyInRange(lo, hi)) {
+          if (instr_execs != nullptr) ++last_run_.star_rounds_used;
           if (--star_rounds_left_ < 0) return false;
           // Deadline probe (see SetDeadline): star rounds are the only
           // statically unbounded work in a run, so one clock read per
@@ -332,30 +454,30 @@ bool ExecEngine::RunRange(const Program& program, int begin, int end) {
             last_run_.deadline_expired = true;
             return false;
           }
-          if (!RunRange(program, ins.body_begin, ins.body_end)) return false;
+          if (!RunRange(program, ins.body_begin, ins.body_end, regs,
+                        instr_execs)) {
+            return false;
+          }
           // Fixpoint probe: the final round always produces no new nodes,
           // and this early-exit subset check detects that in one pass
           // (stopping at the first new word) instead of the full
           // subtract / or / copy / any sequence below.
-          if (step.IsSubsetOf(dst)) break;
-          step.Subtract(dst);
-          dst |= step;
-          frontier.CopyRange(step, 0, n_);
+          if (step.IsSubsetOfRange(dst, lo, hi)) break;
+          step.SubtractRange(dst, lo, hi);
+          dst.OrRange(step, lo, hi);
+          frontier.CopyRange(step, lo, hi);
         }
         break;
       }
       case Op::kWithin: {
-        // W delegation runs a whole memoised interpreter pass; probe once
-        // before paying for it.
-        if (DeadlineExpired()) {
-          last_run_.deadline_expired = true;
-          return false;
+        // Top-level code resolves a W set on first use; a body pass only
+        // reads inner sets, which ResolveWithin settled before the pass.
+        const Bitset* set = within_sets_[static_cast<size_t>(ins.within)];
+        if (set == nullptr) {
+          if (!ResolveWithin(program, ins.within)) return false;
+          set = within_sets_[static_cast<size_t>(ins.within)];
         }
-        if (w_scratch_ == nullptr) {
-          w_scratch_ = std::make_unique<EvalScratch>(tree_, tree_cache_);
-        }
-        Evaluator ev(tree_, w_scratch_.get());
-        dst = ev.EvalNode(*ins.within);
+        dst.CopyRange(*set, lo, hi);
         break;
       }
     }

@@ -3,7 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -11,7 +11,6 @@
 #include "exec/program.h"
 #include "tree/tree.h"
 #include "xpath/axis_kernels.h"
-#include "xpath/eval.h"
 
 namespace xptc {
 
@@ -20,15 +19,19 @@ class TreeCache;  // workload/tree_cache.h
 namespace exec {
 
 /// Executes compiled `Program`s against one tree. Owns all per-run mutable
-/// state — the physical bitset register file, the per-tree label index, the
-/// downward sweep's aggregate buffer, and the interpreter scratch used to
-/// delegate `W` instructions — so repeated runs (the batch-engine steady
+/// state — the physical bitset register file, a spare register bank for
+/// `W` bodies, the per-tree label index, the `W` memo and the downward
+/// sweep's aggregate buffer — so repeated runs (the batch-engine steady
 /// state) allocate nothing: registers are overwritten in place, and the
 /// file only grows when a program needs more registers than any before it.
 ///
+/// `W φ` is computed here too: φ's sub-program runs bottom-up over every
+/// subtree window [v, SubtreeEnd(v)) (see ComputeWithin), and the result
+/// is memoised in an engine-local L1 in front of the attached `TreeCache`.
+///
 /// Optionally attaches a `TreeCache`, which shares the label index and the
 /// memoised `W` results across queries and worker threads. An ExecEngine is
-/// NOT thread-safe: use one per (worker, tree), like `EvalScratch`.
+/// NOT thread-safe: use one per (worker, tree).
 class ExecEngine {
  public:
   /// `tree_cache`, if given, must be bound to the same `tree` object and
@@ -87,11 +90,13 @@ class ExecEngine {
   /// the `SteadyNowNs` clock; 0 disarms. The deadline is probed
   /// cooperatively at *star-round boundaries* — the same unit the hybrid
   /// dispatch already budgets, and the only place a run's work is not
-  /// statically bounded — plus once per `W` delegation and at run entry.
-  /// Enforcement granularity is therefore one star round (O(body·n/64)
-  /// work) or one straight-line pass; an expired run is abandoned, the
-  /// hybrid fallback is skipped, and `last_run().deadline_expired` is set
-  /// (the returned bitset is empty and must be discarded). Sticky across
+  /// statically bounded — plus at run entry, and in a `W` pass at its start
+  /// and once per 64 subtree contexts. Enforcement granularity is therefore
+  /// one star round (O(body·n/64) work), 64 `W` contexts, or one
+  /// straight-line pass; an expired run is abandoned (a `W` pass it cut
+  /// short stores nothing), the hybrid fallback is skipped, and
+  /// `last_run().deadline_expired` is set (the returned bitset is empty
+  /// and must be discarded). Sticky across
   /// runs until re-armed or cleared; `exec.deadline_expired` counts
   /// abandoned runs.
   void SetDeadline(int64_t deadline_ns) { deadline_ns_ = deadline_ns; }
@@ -114,11 +119,33 @@ class ExecEngine {
   const Tree& tree() const { return tree_; }
 
  private:
-  /// Executes [begin, end); returns false iff the star-round budget ran
-  /// out (only possible under `Eval`'s hybrid dispatch — `EvalGeneral`
-  /// runs with an unbounded budget).
-  bool RunRange(const Program& program, int begin, int end);
+  /// Executes [begin, end) of `program` over the window [lo_, hi_) on the
+  /// register bank `regs`; returns false iff the star-round budget ran out
+  /// (only possible under `Eval`'s hybrid dispatch — `EvalGeneral` and `W`
+  /// passes run with an unbounded budget) or the deadline probe fired.
+  /// `instr_execs` (per-instruction counts of the top-level run) is null
+  /// for `W` body passes, which the run's totals do not count.
+  bool RunRange(const Program& program, int begin, int end, Bitset* regs,
+                int64_t* instr_execs);
+  /// Runs the top-level code of `program` on the main bank; false as for
+  /// RunRange. `RunGeneral` wraps it as an unbounded, accounted run.
+  bool RunMain(const Program& program);
+  Bitset RunGeneral(const Program& program);
   const Bitset& LabelSet(Symbol label);
+
+  /// Makes `within_sets_[w]` point at the `W` set of body `w` of
+  /// `program`: from the L1, else the TreeCache, else computed — inner
+  /// bodies first, on an explicit stack. False iff the deadline fired.
+  bool ResolveWithin(const Program& program, int w);
+  /// Looks body `w` up in the L1, then the TreeCache; null on a miss.
+  const Bitset* FindWithin(const WithinBody& body);
+  /// The bottom-up pass: runs the body's sub-program on the spare bank
+  /// over each window [v, SubtreeEnd(v)), v = n-1 … 0. Its inner bodies
+  /// must already be resolved. False (nothing stored) iff the deadline
+  /// fired.
+  bool ComputeWithin(const Program& program, int w);
+  /// Records a resolved set in the L1 (pinning its body) and for this run.
+  void RememberWithin(const WithinBody& body, int w, const Bitset* set);
 
   /// Resets `last_run_` for a fresh evaluation of `program`, then (on
   /// completion) `FinishRun` publishes the per-run totals to the registry
@@ -141,6 +168,11 @@ class ExecEngine {
   // at construction (default constants without one) — see DESIGN.md §15.
   axis::Calibration calibration_;
   std::vector<Bitset> regs_;
+  std::vector<Bitset> w_regs_;  // spare bank for W body passes
+  // The window RunRange works in: [0, n) for a top-level run, one subtree
+  // during a W pass.
+  int lo_ = 0;
+  int hi_ = 0;
   int64_t star_rounds_left_ = 0;  // per-run star-round budget (see Eval)
   int64_t deadline_ns_ = 0;       // 0 = no deadline armed
   const std::atomic<bool>* cancel_flag_ = nullptr;
@@ -151,7 +183,18 @@ class ExecEngine {
   std::unordered_map<Symbol, const Bitset*> label_refs_;
   std::unordered_map<Symbol, Bitset> local_labels_;
   std::vector<uint64_t> agg_;  // downward sweep child-aggregate buffer
-  std::unique_ptr<EvalScratch> w_scratch_;  // lazily built, kWithin only
+  // W memo, L1: canonical body → set (in local_within_ or the TreeCache).
+  // Bodies are pinned so a pointer key cannot be reused by a freed and
+  // reallocated expression while the engine lives.
+  std::unordered_map<const NodeExpr*, const Bitset*> within_l1_;
+  std::vector<NodePtr> within_pins_;
+  std::deque<Bitset> local_within_;  // deque: stable element addresses
+  // Per run, indexed like the program's within_bodies(): the resolved set
+  // (null until resolved), whether the caches were already probed, and
+  // ResolveWithin's explicit stack.
+  std::vector<const Bitset*> within_sets_;
+  std::vector<char> within_probed_;
+  std::vector<int> within_stack_;
 };
 
 }  // namespace exec

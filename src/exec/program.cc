@@ -65,6 +65,13 @@ struct LoopSeq {
 
 class Lowerer {
  public:
+  // Maps a canonical `W` body to its index in the root's body table,
+  // lowering the body first if it is new.
+  using WithinIndex = std::function<int(const NodePtr& body)>;
+
+  explicit Lowerer(WithinIndex within_index)
+      : within_index_(std::move(within_index)) {}
+
   struct Output {
     std::vector<Instr> code;
     int main_end = 0;
@@ -198,12 +205,12 @@ class Lowerer {
         reg = LowerPathBack(node->path, TrueReg(), 0);
         break;
       case NodeOp::kWithin: {
-        // Delegated to the shared-context interpreter engine: W results
-        // are context-independent and memoized per tree, and the compiled
-        // pipeline stays free of sub-context plumbing.
+        // The body is its own sub-program: W results are context-free (φ
+        // at v only sees T|v), so the engine computes the whole set once
+        // per tree and this instruction reads its window of it.
         Instr ins;
         ins.op = Op::kWithin;
-        ins.within = node;
+        ins.within = within_index_(node->left);
         ins.dst = NewVreg();
         Append(0, ins);
         reg = ins.dst;
@@ -289,6 +296,7 @@ class Lowerer {
     return reg;
   }
 
+  WithinIndex within_index_;
   std::vector<LoopSeq> seqs_;
   std::unordered_map<const NodeExpr*, int> node_memo_;
   int num_vregs_ = 0;
@@ -425,8 +433,9 @@ class RegisterAllocator {
 };
 
 // Recursive half of VerifyProgram: checks [begin, end) and every star body
-// it enters, marking each instruction visited.
-bool VerifyWalk(const Program& program, int begin, int end,
+// it enters, marking each instruction visited. kWithin operands must lie in
+// [0, within_limit).
+bool VerifyWalk(const Program& program, int begin, int end, int within_limit,
                 std::vector<char>* visited, std::string* error) {
   const auto fail = [error](const std::string& message) {
     if (error != nullptr) *error = message;
@@ -471,9 +480,9 @@ bool VerifyWalk(const Program& program, int begin, int end,
         need_a = need_b = true;
         break;
       case Op::kWithin:
-        if (ins.within == nullptr) {
+        if (ins.within < 0 || ins.within >= within_limit) {
           return fail("instruction " + std::to_string(i) +
-                      ": kWithin without expression");
+                      ": kWithin body out of post-order");
         }
         break;
       case Op::kStar:
@@ -482,8 +491,8 @@ bool VerifyWalk(const Program& program, int begin, int end,
           return fail("instruction " + std::to_string(i) +
                       ": bad star in/out register");
         }
-        if (!VerifyWalk(program, ins.body_begin, ins.body_end, visited,
-                        error)) {
+        if (!VerifyWalk(program, ins.body_begin, ins.body_end, within_limit,
+                        visited, error)) {
           return false;
         }
         break;
@@ -500,15 +509,30 @@ bool VerifyWalk(const Program& program, int begin, int end,
 
 }  // namespace
 
-std::shared_ptr<const Program> Program::Compile(const NodePtr& query) {
-  XPTC_CHECK(query != nullptr);
-  // A private interner: collapses repeated subexpressions of *this* query.
-  // (PlanCache additionally shares canonical plans — and thus programs —
-  // across the whole workload.)
-  ExprInterner interner;
+struct Program::WithinTable {
+  std::vector<WithinBody> bodies;
+  std::unordered_map<const NodeExpr*, int> index;  // canonical body → slot
+};
+
+std::shared_ptr<Program> Program::Lower(const NodePtr& plan,
+                                        WithinTable* table) {
   std::shared_ptr<Program> program(new Program());
-  program->plan_ = interner.Intern(query);
-  Lowerer::Output lowered = Lowerer().Lower(program->plan_);
+  program->plan_ = plan;
+  Lowerer::Output lowered =
+      Lowerer([table](const NodePtr& body) {
+        auto it = table->index.find(body.get());
+        if (it != table->index.end()) return it->second;
+        // Inner bodies are lowered (and numbered) before this one.
+        std::shared_ptr<const Program> sub = Lower(body, table);
+        WithinBody entry{body, sub, {}};
+        for (const Instr& ins : sub->code()) {
+          if (ins.op == Op::kWithin) entry.deps.push_back(ins.within);
+        }
+        const int index = static_cast<int>(table->bodies.size());
+        table->bodies.push_back(std::move(entry));
+        table->index.emplace(body.get(), index);
+        return index;
+      }).Lower(plan);
   program->code_ = std::move(lowered.code);
   program->main_end_ = lowered.main_end;
   RegisterAllocator allocator;
@@ -516,11 +540,24 @@ std::shared_ptr<const Program> Program::Compile(const NodePtr& query) {
       allocator.Run(&program->code_, program->main_end_, lowered.num_vregs,
                     &program->result_reg_, lowered.result_vreg);
   CompileStats& stats = program->stats_;
-  stats.ast_nodes = NodeSize(*query);
   stats.num_instrs = static_cast<int>(program->code_.size());
   stats.num_vregs = lowered.num_vregs;
   stats.num_regs = program->num_regs_;
   stats.dag_hits = lowered.dag_hits;
+  return program;
+}
+
+std::shared_ptr<const Program> Program::Compile(const NodePtr& query) {
+  XPTC_CHECK(query != nullptr);
+  // A private interner: collapses repeated subexpressions of *this* query.
+  // (PlanCache additionally shares canonical plans — and thus programs —
+  // across the whole workload.)
+  ExprInterner interner;
+  WithinTable table;
+  std::shared_ptr<Program> program = Lower(interner.Intern(query), &table);
+  program->within_bodies_ = std::move(table.bodies);
+  CompileStats& stats = program->stats_;
+  stats.ast_nodes = NodeSize(*query);
   if (IsDownwardNode(*program->plan_)) {
     if (auto downward = DownwardProgram::Compile(program->plan_)) {
       program->downward_ =
@@ -532,8 +569,11 @@ std::shared_ptr<const Program> Program::Compile(const NodePtr& query) {
   return program;
 }
 
-std::string Program::InstrToString(int i, const Alphabet& alphabet) const {
-  const Instr& ins = code_[static_cast<size_t>(i)];
+namespace {
+
+// `bodies` is the root's W table (kWithin operands index it).
+std::string InstrString(const Instr& ins, const Alphabet& alphabet,
+                        const std::vector<WithinBody>& bodies) {
   std::ostringstream os;
   os << "r" << ins.dst << " = ";
   switch (ins.op) {
@@ -566,7 +606,9 @@ std::string Program::InstrToString(int i, const Alphabet& alphabet) const {
          << ins.body_end << ") in=r" << ins.in << " out=r" << ins.out;
       break;
     case Op::kWithin:
-      os << "within " << NodeToString(*ins.within, alphabet);
+      os << "within w" << ins.within << " "
+         << NodeToString(*bodies[static_cast<size_t>(ins.within)].body,
+                         alphabet);
       break;
     case Op::kDescFill:
       os << "descfill " << AxisToString(ins.axis) << " r" << ins.a;
@@ -581,19 +623,40 @@ std::string Program::InstrToString(int i, const Alphabet& alphabet) const {
   return os.str();
 }
 
+}  // namespace
+
+std::string Program::InstrToString(int i, const Alphabet& alphabet) const {
+  return InstrString(code_[static_cast<size_t>(i)], alphabet, within_bodies_);
+}
+
+std::string Program::CodeToString(
+    const Alphabet& alphabet, const std::vector<WithinBody>& bodies) const {
+  std::ostringstream os;
+  os << code_.size() << " instrs, " << num_regs_ << " regs, result r"
+     << result_reg_ << ", main [0," << main_end_ << ")\n";
+  for (size_t i = 0; i < code_.size(); ++i) {
+    os << "  " << i << ": " << InstrString(code_[i], alphabet, bodies) << "\n";
+  }
+  return os.str();
+}
+
 std::string Program::ToString(const Alphabet& alphabet) const {
   std::ostringstream os;
-  os << "program: " << code_.size() << " instrs, " << num_regs_
-     << " regs, result r" << result_reg_ << ", main [0," << main_end_ << ")\n";
-  for (size_t i = 0; i < code_.size(); ++i) {
-    os << "  " << i << ": " << InstrToString(static_cast<int>(i), alphabet)
-       << "\n";
+  os << "program: " << CodeToString(alphabet, within_bodies_);
+  for (size_t w = 0; w < within_bodies_.size(); ++w) {
+    os << "within w" << w << ": "
+       << within_bodies_[w].program->CodeToString(alphabet, within_bodies_);
   }
   if (downward_) os << downward_->ToString(alphabet);
   return os.str();
 }
 
-bool VerifyProgram(const Program& program, std::string* error) {
+namespace {
+
+// VerifyProgram for one program whose kWithin operands must lie in
+// [0, within_limit).
+bool VerifyCode(const Program& program, int within_limit,
+                std::string* error) {
   const auto fail = [error](const char* message) {
     if (error != nullptr) *error = message;
     return false;
@@ -606,7 +669,8 @@ bool VerifyProgram(const Program& program, std::string* error) {
     return fail("result register out of bounds");
   }
   std::vector<char> visited(program.code().size(), 0);
-  if (!VerifyWalk(program, 0, program.main_end(), &visited, error)) {
+  if (!VerifyWalk(program, 0, program.main_end(), within_limit, &visited,
+                  error)) {
     return false;
   }
   for (size_t i = 0; i < visited.size(); ++i) {
@@ -615,6 +679,19 @@ bool VerifyProgram(const Program& program, std::string* error) {
     }
   }
   return true;
+}
+
+}  // namespace
+
+bool VerifyProgram(const Program& program, std::string* error) {
+  const std::vector<WithinBody>& bodies = program.within_bodies();
+  for (size_t w = 0; w < bodies.size(); ++w) {
+    // Post-order: body w reads only bodies before it.
+    if (!VerifyCode(*bodies[w].program, static_cast<int>(w), error)) {
+      return false;
+    }
+  }
+  return VerifyCode(program, static_cast<int>(bodies.size()), error);
 }
 
 }  // namespace exec

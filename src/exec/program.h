@@ -13,10 +13,9 @@
 namespace xptc {
 namespace exec {
 
-/// Bytecode operations over whole-tree bitset registers. Every operation
-/// runs in full-tree context; `W` sub-contexts never surface here (kWithin
-/// delegates to the shared-context interpreter engine, whose results are
-/// context-independent and memoized per tree).
+/// Bytecode operations over bitset registers. Every operation runs over the
+/// engine's current window [lo, hi): the whole tree for a top-level run, or
+/// one subtree T|v while the engine computes a `W` body (see kWithin).
 enum class Op : uint8_t {
   kTrue,    // dst := all nodes
   kLabel,   // dst := {v : label(v) == label}
@@ -31,7 +30,9 @@ enum class Op : uint8_t {
   kStar,    // dst := reflexive-transitive back-image closure of a; the
             //        loop body [body_begin, body_end) maps register `in`
             //        (current frontier) to register `out` (one p-step)
-  kWithin,  // dst := {v : W-expression holds at v} via the interpreter
+  kWithin,  // dst := {v : body holds at v in T|v}, read from the engine's
+            //        per-tree W set; the body is a sub-program of its own
+            //        (Program::within_bodies), run once per tree bottom-up
 
   // Closure kernels: dst := a ∪ axis-image(axis, a), with `axis` one of
   // the transitive structure axes (desc/anc/fsib/psib). Emitted when a
@@ -56,7 +57,18 @@ struct Instr {
   int body_end = 0;
   int in = -1;   // kStar: frontier register read by the body
   int out = -1;  // kStar: one-step image register written by the body
-  NodePtr within;  // kWithin: the full `W φ` node (canonical)
+  int within = -1;  // kWithin: index into the root's within_bodies()
+};
+
+class Program;
+
+/// One distinct canonical `W` body, lowered to a program of its own. Its
+/// kWithin instructions index the same root table as the top-level code's,
+/// always at smaller indices (`deps`): bodies are listed in post-order.
+struct WithinBody {
+  NodePtr body;                            // canonical body expression
+  std::shared_ptr<const Program> program;  // runs the body over one T|v
+  std::vector<int> deps;  // the bodies its kWithin instructions read
 };
 
 struct CompileStats {
@@ -90,6 +102,9 @@ struct CompileStats {
 ///    loop bodies follow, each a contiguous range referenced by its kStar
 ///    instruction. Executing [0, main_end) in order (recursing into bodies
 ///    at kStar sites) leaves the answer in `result_reg()`.
+///  - Each distinct `W` body is lowered into its own sub-program, listed in
+///    `within_bodies()` in post-order (inner bodies first), so the engine
+///    computes a nested `W` without recursing.
 ///  - If the plan lies in the downward fragment, a `DownwardProgram` is
 ///    attached for the one-pass linear engine.
 ///
@@ -110,10 +125,17 @@ class Program {
   /// instructions and serves as the cache identity in `PlanCache`.
   const NodePtr& plan() const { return plan_; }
 
+  /// The distinct `W` bodies of the plan, inner bodies first; kWithin
+  /// operands index this table. Empty for the sub-programs themselves.
+  const std::vector<WithinBody>& within_bodies() const {
+    return within_bodies_;
+  }
+
   /// Non-null iff the plan is downward-compilable.
   const DownwardProgram* downward() const { return downward_.get(); }
 
-  /// Deterministic disassembly (used by lowering-determinism tests).
+  /// Deterministic disassembly (used by lowering-determinism tests): the
+  /// top-level code, then each `W` body's sub-program.
   std::string ToString(const Alphabet& alphabet) const;
 
   /// One instruction of the disassembly, e.g. `r3 = axis child r1` — the
@@ -122,7 +144,16 @@ class Program {
   std::string InstrToString(int i, const Alphabet& alphabet) const;
 
  private:
+  struct WithinTable;  // lowering state shared by a root and its bodies
+
   Program() = default;
+
+  /// Lowers the interned `plan` into code and registers; `W` bodies met on
+  /// the way are lowered first and appended to `table`.
+  static std::shared_ptr<Program> Lower(const NodePtr& plan,
+                                        WithinTable* table);
+  std::string CodeToString(const Alphabet& alphabet,
+                           const std::vector<WithinBody>& bodies) const;
 
   std::vector<Instr> code_;
   int main_end_ = 0;
@@ -130,13 +161,16 @@ class Program {
   int result_reg_ = -1;
   CompileStats stats_;
   NodePtr plan_;
+  std::vector<WithinBody> within_bodies_;
   std::unique_ptr<const DownwardProgram> downward_;
 };
 
 /// Structural check over a finished (register-allocated) program: operand
 /// registers in range, per-op operand presence, star bodies form properly
-/// nested non-overlapping ranges, and every instruction is reachable
-/// exactly once from the main sequence. Tests run it over lowering output.
+/// nested non-overlapping ranges, every instruction is reachable exactly
+/// once from the main sequence, and kWithin operands index the `W` table
+/// in post-order. Checks every `W` body's sub-program the same way. Tests
+/// run it over lowering output.
 bool VerifyProgram(const Program& program, std::string* error = nullptr);
 
 }  // namespace exec

@@ -383,12 +383,16 @@ Result<JournalDump> ParseJournalDump(const std::string& bytes) {
       // Truncated final block: keep the whole records that made it out.
       const size_t whole = left / sizeof(JournalRecord);
       records.resize(whole);
-      std::memcpy(records.data(), p, whole * sizeof(JournalRecord));
+      // An empty vector's data() may be null, and memcpy to null is UB even
+      // for zero bytes.
+      if (whole != 0) {
+        std::memcpy(records.data(), p, whole * sizeof(JournalRecord));
+      }
       dump.threads.push_back(std::move(records));
       break;
     }
     records.resize(count);
-    std::memcpy(records.data(), p, need);
+    if (count != 0) std::memcpy(records.data(), p, need);
     p += need;
     left -= need;
     dump.threads.push_back(std::move(records));

@@ -37,7 +37,7 @@ namespace server {
 
 enum class RequestOp : uint8_t {
   kQuery,    // one query × tree-set → node-set bitsets / booleans / counts
-  kBatch,    // N queries × tree-set through BatchEngine::RunCompiled
+  kBatch,    // N queries × tree-set through BatchEngine::RunCompiledOnTrees
   kMetrics,  // obs::Registry Prometheus export (HTTP only)
   kExplain,  // obs::ExplainQuery dump (HTTP only)
   kHealth,   // liveness + drain state (HTTP only; served inline)

@@ -238,8 +238,9 @@ class SetsOracle : public Oracle {
 };
 
 /// Runs each case through the full throughput path: Query::FromExpr (the
-/// simplifier), a BatchEngine on a persistent 3-worker pool, per-tree
-/// TreeCache and per-worker EvalScratch. One case = one 1×1 batch.
+/// simplifier), lowering, a BatchEngine on a persistent 3-worker pool, the
+/// per-tree TreeCache and per-worker ExecEngines (hybrid dispatch). One
+/// case = one 1×1 batch.
 class BatchOracle : public Oracle {
  public:
   BatchOracle()
@@ -250,7 +251,7 @@ class BatchOracle : public Oracle {
     BatchOptions options;
     options.pool = &pool_;
     BatchEngine engine(options);
-    // Non-owning alias: the engine (and every scratch/cache bound to the
+    // Non-owning alias: the engine (and every engine/cache bound to the
     // tree) dies before Run returns.
     engine.AddTree(std::shared_ptr<const Tree>(&tree, [](const Tree*) {}));
     std::vector<Query> queries;

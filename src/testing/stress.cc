@@ -11,6 +11,7 @@
 #include "common/bitset.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "exec/engine.h"
 #include "obs/metrics.h"
 #include "tree/generate.h"
 #include "workload/batch.h"
@@ -18,7 +19,6 @@
 #include "workload/tree_cache.h"
 #include "xpath/ast.h"
 #include "xpath/engine.h"
-#include "xpath/eval.h"
 #include "xpath/generator.h"
 
 namespace xptc {
@@ -93,31 +93,31 @@ StressReport RunConcurrencyStress(const StressOptions& options) {
     // Per-thread histogram (no contention while observing); merged into
     // the shared one when the thread finishes.
     obs::Histogram local_hist;
-    // Per-thread scratch, lazily bound per tree, attached to the engine's
-    // shared TreeCaches (EvalScratch is single-thread; the cache behind it
-    // is the contended part).
-    std::vector<std::unique_ptr<EvalScratch>> scratch(trees.size());
+    // Per-thread compiled engines, lazily bound per tree, attached to the
+    // batch engine's shared TreeCaches (an ExecEngine is single-thread; the
+    // cache behind it is the contended part).
+    std::vector<std::unique_ptr<exec::ExecEngine>> engines(trees.size());
     for (int it = 0; it < options.iterations_per_thread; ++it) {
       const int t = static_cast<int>(client_rng.NextBelow(trees.size()));
       const int q = static_cast<int>(client_rng.NextBelow(texts.size()));
       Bitset got;
       if (client_rng.NextBool(0.5)) {
-        // Path A: shared PlanCache (LRU churn) + shared TreeCache scratch.
-        auto parsed = plan_cache.Parse(texts[static_cast<size_t>(q)],
-                                       &alphabet);
+        // Path A: shared PlanCache (LRU churn) + an ExecEngine on the
+        // shared TreeCache.
+        auto parsed = plan_cache.ParseCompiled(texts[static_cast<size_t>(q)],
+                                               &alphabet);
         if (!parsed.ok()) {
           record_mismatch("thread " + std::to_string(id) +
                           ": plan cache parse failed: " +
                           parsed.status().ToString());
           continue;
         }
-        auto& slot = scratch[static_cast<size_t>(t)];
+        auto& slot = engines[static_cast<size_t>(t)];
         if (slot == nullptr) {
           TreeCache* cache = engine.tree_cache(t).get();
-          slot = std::make_unique<EvalScratch>(cache->tree(), cache);
+          slot = std::make_unique<exec::ExecEngine>(cache->tree(), cache);
         }
-        got = (*parsed.ValueOrDie()).Select(*trees[static_cast<size_t>(t)],
-                                            slot.get());
+        got = slot->Eval(*parsed.ValueOrDie().program);
       } else {
         // Path B: plain pre-parsed query, fresh local state.
         got = queries[static_cast<size_t>(q)].Select(

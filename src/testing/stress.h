@@ -53,7 +53,7 @@ struct StressReport {
 /// workload is evaluated (a) sequentially up front (the expected answers)
 /// and (b) concurrently from `num_threads` client threads — each drawing
 /// random (tree, query) pairs through a deliberately small shared
-/// `PlanCache` and per-thread `EvalScratch`es attached to the engine's
+/// `PlanCache` and per-thread `ExecEngine`s attached to the batch engine's
 /// shared `TreeCache`s — while whole `BatchEngine::Run` sweeps execute on
 /// the same caches. Every concurrent answer is compared bit-for-bit to the
 /// sequential one.
@@ -63,7 +63,7 @@ struct StressReport {
 /// interned the concurrent re-parses only perform lookups.
 ///
 /// The races this targets (under TSan): PlanCache LRU eviction,
-/// TreeCache shard insertion (`W` memo + label sets), BatchEngine scratch
+/// TreeCache shard insertion (`W` memo + label sets), BatchEngine engine
 /// row growth, and ThreadPool work stealing.
 StressReport RunConcurrencyStress(const StressOptions& options = {});
 

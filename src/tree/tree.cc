@@ -68,14 +68,16 @@ Tree Tree::RelabelNode(NodeId node, Symbol label) const {
 
 namespace {
 
-// Recursive-descent parser for the `a(b, c(d))` term notation.
+// Parser for the `a(b, c(d))` term notation. It keeps the open nodes on an
+// explicit stack (the builder's, plus a depth count here) rather than the
+// call stack, so nesting depth costs no native stack at all.
 class TermParser {
  public:
   TermParser(const std::string& text, Alphabet* alphabet, TreeBuilder* builder)
       : text_(text), alphabet_(alphabet), builder_(builder) {}
 
   Status ParseRoot() {
-    XPTC_RETURN_NOT_OK(ParseNode());
+    XPTC_RETURN_NOT_OK(ParseTerm());
     SkipSpace();
     if (pos_ != text_.size()) {
       return Status::InvalidArgument("trailing characters in term at position " +
@@ -85,64 +87,63 @@ class TermParser {
   }
 
  private:
-  // One recursion level per nesting level of the term; without a cap a
-  // pathological `a(a(a(...` input overflows the stack instead of failing
-  // with Status (found by the parser-facing fuzzer). 8192 comfortably
-  // covers every legitimate corpus tree while staying far below stack
-  // limits.
+  // Nesting cap: a pathological `a(a(a(...` input fails with Status
+  // instead of building an absurdly deep tree. 8192 comfortably covers
+  // every legitimate corpus tree.
   static constexpr int kMaxNestingDepth = 8192;
 
-  Status ParseNode() {
-    if (++depth_ > kMaxNestingDepth) {
-      --depth_;
-      return Status::InvalidArgument("term nesting too deep at position " +
-                                     std::to_string(pos_) + " (limit " +
-                                     std::to_string(kMaxNestingDepth) + ")");
-    }
-    const Status status = ParseNodeInner();
-    --depth_;
-    return status;
-  }
-
-  Status ParseNodeInner() {
-    SkipSpace();
-    const size_t start = pos_;
-    while (pos_ < text_.size() && (std::isalnum(static_cast<unsigned char>(
-                                       text_[pos_])) ||
-                                   text_[pos_] == '_' || text_[pos_] == '#' ||
-                                   text_[pos_] == '-' || text_[pos_] == '.')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Status::InvalidArgument("expected label at position " +
-                                     std::to_string(start));
-    }
-    builder_->Begin(alphabet_->Intern(text_.substr(start, pos_ - start)));
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '(') {
-      ++pos_;  // consume '('
+  Status ParseTerm() {
+    int open = 0;  // nodes whose child list is still being read
+    for (;;) {
+      // A label starts a node at nesting depth open + 1.
+      if (open + 1 > kMaxNestingDepth) {
+        return Status::InvalidArgument("term nesting too deep at position " +
+                                       std::to_string(pos_) + " (limit " +
+                                       std::to_string(kMaxNestingDepth) + ")");
+      }
       SkipSpace();
-      if (pos_ < text_.size() && text_[pos_] == ')') {
+      const size_t start = pos_;
+      while (pos_ < text_.size() &&
+             (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
+              text_[pos_] == '_' || text_[pos_] == '#' || text_[pos_] == '-' ||
+              text_[pos_] == '.')) {
         ++pos_;
-      } else {
-        for (;;) {
-          XPTC_RETURN_NOT_OK(ParseNode());
-          SkipSpace();
-          if (pos_ < text_.size() && text_[pos_] == ',') {
-            ++pos_;
-            continue;
-          }
-          if (pos_ < text_.size() && text_[pos_] == ')') {
-            ++pos_;
-            break;
-          }
-          return Status::InvalidArgument("expected ',' or ')' at position " +
-                                         std::to_string(pos_));
+      }
+      if (pos_ == start) {
+        return Status::InvalidArgument("expected label at position " +
+                                       std::to_string(start));
+      }
+      builder_->Begin(alphabet_->Intern(text_.substr(start, pos_ - start)));
+      SkipSpace();
+      if (pos_ < text_.size() && text_[pos_] == '(') {
+        ++pos_;  // consume '('
+        SkipSpace();
+        if (pos_ >= text_.size() || text_[pos_] != ')') {
+          ++open;  // its first child comes next
+          continue;
         }
+        ++pos_;  // `a()`: an empty child list
+      }
+      builder_->End();
+      // The node is complete: close finished parents, then go on to the
+      // next sibling (or stop once the root is closed).
+      for (;;) {
+        if (open == 0) return Status::OK();
+        SkipSpace();
+        if (pos_ < text_.size() && text_[pos_] == ',') {
+          ++pos_;
+          break;
+        }
+        if (pos_ < text_.size() && text_[pos_] == ')') {
+          ++pos_;
+          builder_->End();
+          --open;
+          continue;
+        }
+        return Status::InvalidArgument("expected ',' or ')' at position " +
+                                       std::to_string(pos_));
       }
     }
-    builder_->End();
-    return Status::OK();
   }
 
   void SkipSpace() {
@@ -156,7 +157,6 @@ class TermParser {
   Alphabet* alphabet_;
   TreeBuilder* builder_;
   size_t pos_ = 0;
-  int depth_ = 0;
 };
 
 void WriteTerm(const Tree& tree, const Alphabet& alphabet, NodeId v,

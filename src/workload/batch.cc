@@ -1,12 +1,12 @@
 #include "workload/batch.h"
 
 #include <atomic>
+#include <numeric>
 #include <utility>
 
 #include "common/check.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
-#include "xpath/eval.h"
 
 namespace xptc {
 
@@ -30,7 +30,6 @@ BatchEngine::BatchEngine(BatchOptions options) {
     owned_pool_ = std::make_unique<ThreadPool>(options.num_workers);
     pool_ = owned_pool_.get();
   }
-  scratch_.resize(static_cast<size_t>(pool_->num_workers()));
   engines_.resize(static_cast<size_t>(pool_->num_workers()));
   collector_ =
       obs::Registry::Default().AddCollector([this](obs::Snapshot* snap) {
@@ -40,7 +39,7 @@ BatchEngine::BatchEngine(BatchOptions options) {
 }
 
 BatchEngine::~BatchEngine() {
-  // Scratch objects reference the TreeCaches; drain in-flight tasks before
+  // Engines reference the TreeCaches; drain in-flight tasks before
   // members destruct (owned pool joins here; external pools must be idle
   // on this engine's tasks, which Run guarantees by blocking).
   if (owned_pool_ != nullptr) owned_pool_.reset();
@@ -54,25 +53,11 @@ int BatchEngine::AddTree(std::shared_ptr<const Tree> tree) {
   return index;
 }
 
-void BatchEngine::EnsureScratchRows() {
+void BatchEngine::EnsureEngineRows() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& row : scratch_) {
-    if (row.size() < trees_.size()) row.resize(trees_.size());
-  }
   for (auto& row : engines_) {
     if (row.size() < trees_.size()) row.resize(trees_.size());
   }
-}
-
-EvalScratch* BatchEngine::ScratchFor(int worker, int tree_index) {
-  auto& slot = scratch_[static_cast<size_t>(worker)]
-                       [static_cast<size_t>(tree_index)];
-  if (slot == nullptr) {
-    slot = std::make_unique<EvalScratch>(
-        *trees_[static_cast<size_t>(tree_index)],
-        caches_[static_cast<size_t>(tree_index)].get());
-  }
-  return slot.get();
 }
 
 exec::ExecEngine* BatchEngine::EngineFor(int worker, int tree_index) {
@@ -88,69 +73,15 @@ exec::ExecEngine* BatchEngine::EngineFor(int worker, int tree_index) {
 
 std::vector<std::vector<Bitset>> BatchEngine::Run(
     const std::vector<Query>& queries) {
-  const int num_t = num_trees();
-  const int num_q = static_cast<int>(queries.size());
-  std::vector<std::vector<Bitset>> results(static_cast<size_t>(num_t));
-  for (auto& row : results) row.resize(static_cast<size_t>(num_q));
-  if (num_t == 0 || num_q == 0) return results;
-  runs_.Inc();
-  tasks_.Add(num_t * num_q);
-  EnsureScratchRows();
-  pool_->ParallelFor(num_t * num_q, [&](int task, int worker) {
-    obs::TraceSpan span("batch.task", &TaskFlame());
-    const int t = task / num_q;
-    const int q = task % num_q;
-    // Each task writes its own (t, q) slot; no two tasks share one.
-    results[static_cast<size_t>(t)][static_cast<size_t>(q)] =
-        queries[static_cast<size_t>(q)].Select(*trees_[static_cast<size_t>(t)],
-                                               ScratchFor(worker, t));
-  });
-  return results;
-}
-
-std::vector<std::vector<Bitset>> BatchEngine::RunPaths(
-    const std::vector<PathQuery>& queries) {
-  const int num_t = num_trees();
-  const int num_q = static_cast<int>(queries.size());
-  std::vector<std::vector<Bitset>> results(static_cast<size_t>(num_t));
-  for (auto& row : results) row.resize(static_cast<size_t>(num_q));
-  if (num_t == 0 || num_q == 0) return results;
-  runs_.Inc();
-  tasks_.Add(num_t * num_q);
-  EnsureScratchRows();
-  pool_->ParallelFor(num_t * num_q, [&](int task, int worker) {
-    obs::TraceSpan span("batch.task", &TaskFlame());
-    const int t = task / num_q;
-    const int q = task % num_q;
-    const Tree& tree = *trees_[static_cast<size_t>(t)];
-    Bitset root_set(tree.size());
-    root_set.Set(tree.root());
-    results[static_cast<size_t>(t)][static_cast<size_t>(q)] =
-        queries[static_cast<size_t>(q)].FromSet(tree, root_set,
-                                                ScratchFor(worker, t));
-  });
-  return results;
-}
-
-std::vector<std::vector<Bitset>> BatchEngine::RunCompiled(
-    const std::vector<std::shared_ptr<const exec::Program>>& programs) {
-  const int num_t = num_trees();
-  const int num_q = static_cast<int>(programs.size());
-  std::vector<std::vector<Bitset>> results(static_cast<size_t>(num_t));
-  for (auto& row : results) row.resize(static_cast<size_t>(num_q));
-  if (num_t == 0 || num_q == 0) return results;
-  for (const auto& program : programs) XPTC_CHECK(program != nullptr);
-  runs_.Inc();
-  tasks_.Add(num_t * num_q);
-  EnsureScratchRows();
-  pool_->ParallelFor(num_t * num_q, [&](int task, int worker) {
-    obs::TraceSpan span("batch.task", &TaskFlame());
-    const int t = task / num_q;
-    const int q = task % num_q;
-    results[static_cast<size_t>(t)][static_cast<size_t>(q)] =
-        EngineFor(worker, t)->Eval(*programs[static_cast<size_t>(q)]);
-  });
-  return results;
+  std::vector<std::shared_ptr<const exec::Program>> programs;
+  programs.reserve(queries.size());
+  for (const Query& query : queries) {
+    programs.push_back(exec::Program::Compile(query.plan()));
+  }
+  std::vector<int> all_trees(static_cast<size_t>(num_trees()));
+  std::iota(all_trees.begin(), all_trees.end(), 0);
+  return RunCompiledOnTrees(programs, all_trees, /*deadline_ns=*/0,
+                            /*deadline_expired=*/nullptr);
 }
 
 std::vector<std::vector<Bitset>> BatchEngine::RunCompiledOnTrees(
@@ -166,7 +97,7 @@ std::vector<std::vector<Bitset>> BatchEngine::RunCompiledOnTrees(
   if (num_t == 0 || num_q == 0) return results;
   runs_.Inc();
   tasks_.Add(num_t * num_q);
-  EnsureScratchRows();
+  EnsureEngineRows();
   std::atomic<bool> expired{false};
   pool_->ParallelFor(num_t * num_q, [&](int task, int worker) {
     obs::TraceSpan span("batch.task", &TaskFlame());
@@ -216,16 +147,6 @@ std::vector<std::vector<Bitset>> BatchEngine::RunCompiledOnTrees(
     *deadline_expired = expired.load(std::memory_order_relaxed);
   }
   return results;
-}
-
-std::vector<std::vector<Bitset>> BatchEngine::RunCompiled(
-    const std::vector<Query>& queries) {
-  std::vector<std::shared_ptr<const exec::Program>> programs;
-  programs.reserve(queries.size());
-  for (const Query& query : queries) {
-    programs.push_back(exec::Program::Compile(query.plan()));
-  }
-  return RunCompiled(programs);
 }
 
 // Defined here (not in engine.cc) so the xpath layer does not depend on

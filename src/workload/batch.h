@@ -29,17 +29,18 @@ struct BatchOptions {
 };
 
 /// Parallel cross-product evaluator: a corpus of trees × a workload of
-/// queries, sharded as one (tree, query) task per pair on a work-stealing
-/// thread pool.
+/// compiled queries, sharded as one (tree, query) task per pair on a
+/// work-stealing thread pool, each task run on the compiled
+/// `exec::ExecEngine`.
 ///
 /// The throughput levers, in order of importance:
 ///  - per-tree `TreeCache`s (built by `AddTree`, shared by every worker and
-///    every `Run`) memoise `W`-body results and label sets across queries,
+///    every call) memoise `W`-body results and label sets across queries,
 ///    so a workload of q `W`-queries pays the bottom-up `W` pass once per
 ///    distinct body, not q times;
-///  - per-(worker, tree) `EvalScratch` pools persist across tasks and
-///    `Run` calls, so steady-state evaluation allocates no bitsets — each
-///    worker touches only its own scratch row, no locks on the hot path;
+///  - per-(worker, tree) `ExecEngine`s persist across tasks and calls, so
+///    steady-state evaluation allocates no bitsets — each worker touches
+///    only its own engine row, no locks on the hot path;
 ///  - work stealing keeps cores busy despite wildly uneven task costs
 ///    (a `W`-heavy query on the biggest tree vs. a label test on the
 ///    smallest).
@@ -47,11 +48,11 @@ struct BatchOptions {
 /// Correctness bar (enforced by the differential tests): `Run` results are
 /// bit-for-bit equal to a sequential `Query::Select` loop.
 ///
-/// Thread-safety: `Run`/`RunPaths` may be called concurrently with each
-/// other (tasks interleave on the pool; results are independent).
-/// `AddTree` must not race with `Run`. The same `TreeCache` objects may
-/// simultaneously be used by non-batch evaluations (e.g. a concurrent
-/// `Query::Select` over an `EvalScratch` attached to the same cache).
+/// Thread-safety: `Run`/`RunCompiledOnTrees` may be called concurrently
+/// with each other (tasks interleave on the pool; results are
+/// independent). `AddTree` must not race with them. The same `TreeCache`
+/// objects may simultaneously be used by other engines (e.g. a concurrent
+/// `ExecEngine` attached to the same cache on another thread).
 class BatchEngine {
  public:
   explicit BatchEngine(BatchOptions options = BatchOptions{});
@@ -69,33 +70,18 @@ class BatchEngine {
     return caches_[static_cast<size_t>(tree_index)];
   }
 
-  /// Evaluates every query on every registered tree; `result[t][q]` equals
-  /// `queries[q].Select(tree t)` bit for bit.
+  /// Compiles each query's plan and evaluates it on every registered tree;
+  /// `result[t][q]` equals `queries[q].Select(tree t)` bit for bit. Use a
+  /// `PlanCache::ParseCompiled` workload and `RunCompiledOnTrees` to share
+  /// lowering across calls.
   std::vector<std::vector<Bitset>> Run(const std::vector<Query>& queries);
 
-  /// Forward images from the document root; `result[t][q]` equals
-  /// `queries[q].FromSet(tree t, {root})` bit for bit.
-  std::vector<std::vector<Bitset>> RunPaths(
-      const std::vector<PathQuery>& queries);
-
-  /// Compiled execution path: runs pre-compiled bytecode programs (see
-  /// exec/program.h) instead of the tree-walking interpreter. One immutable
-  /// `Program` per query is shared by every worker on every tree; mutable
-  /// state (the register file) lives in per-(worker, tree) `ExecEngine`s
-  /// that persist across calls, so steady-state runs allocate nothing.
-  /// `result[t][q]` is bit-for-bit equal to `Run` on the same plans.
-  std::vector<std::vector<Bitset>> RunCompiled(
-      const std::vector<std::shared_ptr<const exec::Program>>& programs);
-
-  /// Convenience overload: compiles each query's plan, then runs. Use a
-  /// `PlanCache::ParseCompiled` workload to share lowering across calls.
-  std::vector<std::vector<Bitset>> RunCompiled(
-      const std::vector<Query>& queries);
-
-  /// `RunCompiled` restricted to a subset of the registered trees, with an
-  /// optional per-request deadline — the serving layer's batch entry point
-  /// (src/server/). `result[i][q]` is the answer on tree
-  /// `tree_indices[i]`; every index must be in [0, num_trees()).
+  /// Runs pre-compiled programs (see exec/program.h) on a subset of the
+  /// registered trees, with an optional per-request deadline — the serving
+  /// layer's batch entry point (src/server/). One immutable `Program` per
+  /// query is shared by every worker on every tree. `result[i][q]` is the
+  /// answer on tree `tree_indices[i]`; every index must be in
+  /// [0, num_trees()).
   /// `deadline_ns` (absolute, `ExecEngine::SteadyNowNs` clock; 0 = none)
   /// is armed on each task's engine for the duration of that task only, so
   /// concurrent calls with different deadlines do not interfere. When any
@@ -115,25 +101,20 @@ class BatchEngine {
       bool* deadline_expired, obs::BatchTraceSink* trace_sink = nullptr);
 
  private:
-  /// Lazily creates the per-(worker, tree) scratch. Only ever called from
+  /// Lazily creates the per-(worker, tree) engine. Only ever called from
   /// worker `worker`'s thread, so no synchronisation is needed.
-  EvalScratch* ScratchFor(int worker, int tree_index);
-
-  /// Same pattern for the compiled path's per-(worker, tree) engines.
   exec::ExecEngine* EngineFor(int worker, int tree_index);
 
-  /// Grows every worker's scratch and engine rows to cover all registered
-  /// trees (no-op when sizes are unchanged). Called at Run entry under mu_.
-  void EnsureScratchRows();
+  /// Grows every worker's engine row to cover all registered trees (no-op
+  /// when sizes are unchanged). Called at run entry under mu_.
+  void EnsureEngineRows();
 
   std::vector<std::shared_ptr<const Tree>> trees_;
   std::vector<std::shared_ptr<TreeCache>> caches_;
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_;
-  std::mutex mu_;  // guards scratch row growth at Run entry
-  // scratch_[worker][tree] / engines_[worker][tree]; each row is touched
-  // only by its worker.
-  std::vector<std::vector<std::unique_ptr<EvalScratch>>> scratch_;
+  std::mutex mu_;  // guards engine row growth at run entry
+  // engines_[worker][tree]; each row is touched only by its worker.
   std::vector<std::vector<std::unique_ptr<exec::ExecEngine>>> engines_;
   // Per-instance obs counters; the collector sums them into `batch.*`
   // registry names across engines (declared last: unregisters first).

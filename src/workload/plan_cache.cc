@@ -36,7 +36,7 @@ inline size_t HashCombine(size_t seed, size_t value) {
 size_t PlanCache::KeyHash::operator()(const Key& key) const {
   size_t h = std::hash<std::string>()(key.text);
   h = HashCombine(h, reinterpret_cast<size_t>(key.alphabet));
-  h = HashCombine(h, (key.optimize ? 2u : 0u) | (key.is_path ? 1u : 0u));
+  h = HashCombine(h, key.optimize ? 1u : 0u);
   return h;
 }
 
@@ -124,7 +124,7 @@ void PlanCache::AttachProgramLocked(
 Result<std::shared_ptr<const Query>> PlanCache::Parse(const std::string& text,
                                                       Alphabet* alphabet,
                                                       bool optimize) {
-  Key key{alphabet, optimize, /*is_path=*/false, NormaliseText(text)};
+  Key key{alphabet, optimize, NormaliseText(text)};
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
@@ -170,7 +170,7 @@ Result<PlanCache::CompiledQuery> PlanCache::ParseCompiled(
     const std::string& text, Alphabet* alphabet, bool optimize) {
   CompiledQuery out;
   XPTC_ASSIGN_OR_RETURN(out.query, Parse(text, alphabet, optimize));
-  const Key key{alphabet, optimize, /*is_path=*/false, NormaliseText(text)};
+  const Key key{alphabet, optimize, NormaliseText(text)};
   const NodeExpr* root = out.query->plan().get();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -214,45 +214,6 @@ Result<PlanCache::CompiledQuery> PlanCache::ParseCompiled(
   }
   AttachProgramLocked(key, out.program);
   return out;
-}
-
-Result<std::shared_ptr<const PathQuery>> PlanCache::ParsePath(
-    const std::string& text, Alphabet* alphabet, bool optimize) {
-  Key key{alphabet, optimize, /*is_path=*/true, NormaliseText(text)};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      hits_.Inc();
-      obs::TraceNote("plan_cache: text hit");
-      it->second = Touch(it->second);
-      return it->second->path_query;
-    }
-  }
-  // Qualified: the unqualified name resolves to this member function.
-  PathPtr parsed;
-  {
-    std::lock_guard<std::mutex> lock(alphabet_mu_);
-    XPTC_ASSIGN_OR_RETURN(parsed, ::xptc::ParsePath(key.text, alphabet));
-  }
-  PathPtr optimized = optimize ? SimplifyPath(parsed) : parsed;
-
-  std::lock_guard<std::mutex> lock(mu_);
-  auto raced = index_.find(key);
-  if (raced != index_.end()) {
-    hits_.Inc();
-    raced->second = Touch(raced->second);
-    return raced->second->path_query;
-  }
-  misses_.Inc();
-  obs::TraceNote("plan_cache: text miss, parsed + interned");
-  ExprInterner& interner = InternerLocked(alphabet);
-  PathPtr original = interner.Intern(parsed);
-  PathPtr plan = interner.Intern(optimized);
-  auto query = std::shared_ptr<const PathQuery>(
-      new PathQuery(std::move(original), std::move(plan)));
-  InsertLocked(Entry{std::move(key), nullptr, query});
-  return query;
 }
 
 }  // namespace xptc

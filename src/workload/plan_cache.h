@@ -30,10 +30,10 @@ namespace xptc {
 /// Every plan that enters the cache is routed through one `ExprInterner`
 /// per alphabet (hash-consing): structurally identical subexpressions
 /// *across different queries* collapse onto pointer-identical AST nodes,
-/// so the evaluator's pointer-keyed memos — per-context node sets and the
-/// per-tree `W` memo — hit across the whole workload, not just within one
-/// query. Dialects are classified per the engine policy (plan dialect +
-/// source dialect) and come along with the cached `Query`.
+/// so pointer-keyed memos — the programs indexed by canonical root below
+/// and each engine's `W` L1 — hit across the whole workload, not just
+/// within one query. Dialects are classified per the engine policy (plan
+/// dialect + source dialect) and come along with the cached `Query`.
 ///
 /// Parse *errors* are not cached; they return through `Result` as usual.
 ///
@@ -47,7 +47,7 @@ namespace xptc {
 /// against at the same time must hold that lock too.
 ///
 /// Lifetime: entries are keyed on the `Alphabet*` address, so every alphabet
-/// passed to `Parse`/`ParsePath` must outlive the cache — or be withdrawn
+/// passed to `Parse`/`ParseCompiled` must outlive the cache — or be withdrawn
 /// with `Purge(alphabet)` *before* it is destroyed. Without the purge, a new
 /// alphabet allocated at a recycled address would alias the dead one's key
 /// and hit plans whose Symbols were minted by the dead alphabet; the purge
@@ -89,11 +89,6 @@ class PlanCache {
                                              Alphabet* alphabet,
                                              bool optimize = true);
 
-  /// Cached equivalent of `PathQuery::Parse(text, alphabet, optimize)`.
-  Result<std::shared_ptr<const PathQuery>> ParsePath(const std::string& text,
-                                                     Alphabet* alphabet,
-                                                     bool optimize = true);
-
   /// `Parse` plus a compiled bytecode program for the plan (the compiled
   /// execution backend's entry point). Programs are cached keyed by the
   /// canonical (hash-consed) plan root, so texts that simplify to the same
@@ -126,12 +121,11 @@ class PlanCache {
   struct Key {
     const Alphabet* alphabet;
     bool optimize;
-    bool is_path;
     std::string text;  // normalised
 
     bool operator==(const Key& other) const {
       return alphabet == other.alphabet && optimize == other.optimize &&
-             is_path == other.is_path && text == other.text;
+             text == other.text;
     }
   };
   struct KeyHash {
@@ -139,8 +133,7 @@ class PlanCache {
   };
   struct Entry {
     Key key;
-    std::shared_ptr<const Query> query;          // is_path == false
-    std::shared_ptr<const PathQuery> path_query; // is_path == true
+    std::shared_ptr<const Query> query;
     // Strong reference to the compiled program, set by ParseCompiled:
     // LRU residency is what keeps a program cached (the by-root map below
     // holds only weak references).

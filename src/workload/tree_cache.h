@@ -16,11 +16,11 @@ namespace xptc {
 
 /// Per-tree, cross-query, cross-thread memoisation.
 ///
-/// PR 1 made `W φ` and per-label node sets cheap *within* one evaluation by
-/// memoising them in the evaluation's shared state. This class lifts both
-/// memos to the lifetime of the *tree*: every evaluation of every query on
-/// the same document (from any worker thread) shares one copy, so the
-/// dominant `W` cost is paid once per (tree, body) instead of once per
+/// An `exec::ExecEngine` memoises `W φ` sets and per-label node sets for
+/// its own lifetime. This class lifts both memos to the lifetime of the
+/// *tree*: every evaluation of every query on the same document (from any
+/// worker thread, through any engine attached to it) shares one copy, so
+/// the dominant `W` cost is paid once per (tree, body) instead of once per
 /// (tree, body, query).
 ///
 /// Concurrency model: read-mostly, mutex-sharded. Entries are computed

@@ -21,11 +21,6 @@ Bitset Query::Select(const Tree& tree) const {
   return EvalNodeSet(tree, *optimized_);
 }
 
-Bitset Query::Select(const Tree& tree, EvalScratch* scratch) const {
-  Evaluator evaluator(tree, scratch);
-  return evaluator.EvalNode(*optimized_);
-}
-
 std::vector<NodeId> Query::SelectVector(const Tree& tree) const {
   const std::vector<int> ids = Select(tree).ToVector();
   return std::vector<NodeId>(ids.begin(), ids.end());
@@ -56,12 +51,6 @@ std::vector<NodeId> PathQuery::From(const Tree& tree, NodeId context) const {
 
 Bitset PathQuery::FromSet(const Tree& tree, const Bitset& sources) const {
   Evaluator evaluator(tree);
-  return evaluator.EvalFwd(*optimized_, sources);
-}
-
-Bitset PathQuery::FromSet(const Tree& tree, const Bitset& sources,
-                          EvalScratch* scratch) const {
-  Evaluator evaluator(tree, scratch);
   return evaluator.EvalFwd(*optimized_, sources);
 }
 

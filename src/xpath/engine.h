@@ -14,8 +14,7 @@
 
 namespace xptc {
 
-class EvalScratch;  // xpath/eval.h
-class PlanCache;    // workload/plan_cache.h
+class PlanCache;  // workload/plan_cache.h
 
 /// High-level façade over the node-expression pipeline: parse → classify →
 /// (optionally) simplify → evaluate. The typical entry point for library
@@ -51,16 +50,15 @@ class Query {
   /// contains `dialect()` in the hierarchy.
   Dialect source_dialect() const { return source_dialect_; }
 
-  /// All nodes of `tree` satisfying the query.
+  /// All nodes of `tree` satisfying the query, computed by the reference
+  /// interpreter (`Evaluator`, xpath/eval.h). Production paths run the
+  /// compiled engine instead; this stays independent of it so it can check
+  /// the engine's answers.
   Bitset Select(const Tree& tree) const;
-
-  /// Same, evaluated over borrowed scratch (pool + per-tree memos) — the
-  /// batch engine's hot path. `scratch` must be bound to `tree`.
-  Bitset Select(const Tree& tree, EvalScratch* scratch) const;
 
   /// Evaluates the cross product trees × queries in parallel on a
   /// work-stealing pool and returns `result[t][q]`, bit-for-bit equal to
-  /// `queries[q].Select(*trees[t])`. Convenience façade over
+  /// `queries[q].Select(*trees[t])`. Convenience façade over the compiled
   /// `BatchEngine` (workload/batch.h); defined in src/workload/batch.cc.
   /// `num_workers <= 0` selects hardware concurrency.
   static std::vector<std::vector<Bitset>> SelectBatch(
@@ -113,10 +111,6 @@ class PathQuery {
   /// Nodes reachable from any node of `sources`.
   Bitset FromSet(const Tree& tree, const Bitset& sources) const;
 
-  /// Same, over borrowed scratch (the batch engine's hot path).
-  Bitset FromSet(const Tree& tree, const Bitset& sources,
-                 EvalScratch* scratch) const;
-
   /// Nodes from which something in `targets` is reachable (backward image).
   Bitset Into(const Tree& tree, const Bitset& targets) const;
 
@@ -126,8 +120,6 @@ class PathQuery {
   std::string ToString(const Alphabet& alphabet) const;
 
  private:
-  friend class PlanCache;  // builds PathQueries from pre-interned parts
-
   PathQuery(PathPtr original, PathPtr optimized)
       : original_(std::move(original)),
         optimized_(std::move(optimized)),

@@ -1,60 +1,35 @@
 #include "xpath/eval.h"
 
 #include <algorithm>
-#include <deque>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "obs/trace.h"
-#include "workload/tree_cache.h"
 #include "xpath/axis_kernels.h"
 
 namespace xptc {
 
 namespace {
 
-// Process-wide interpreter counters, fetched once. `W` provenance (L1 =
-// this scratch's lock-free memo, L2 = the shared TreeCache, computed =
-// paid the bottom-up pass) is the cache story the EXPLAIN dump tells.
-struct EvalMetrics {
-  obs::Counter& within_l1_hits;
-  obs::Counter& within_l2_hits;
-  obs::Counter& within_computed;
-  obs::Counter& star_rounds;
-  static EvalMetrics& Get() {
-    obs::Registry& reg = obs::Registry::Default();
-    static EvalMetrics* m = new EvalMetrics{
-        reg.counter("eval.within_l1_hits"),
-        reg.counter("eval.within_l2_hits"),
-        reg.counter("eval.within_computed"),
-        reg.counter("eval.star_rounds")};
-    return *m;
-  }
-};
-
-obs::Histogram& WComputeFlame() {
-  static obs::Histogram* h =
-      &obs::Registry::Default().histogram("eval.w_compute_ns");
-  return *h;
+// Interpreter star rounds — the reference engine's own counter (the
+// production engine reports exec.star_rounds).
+obs::Counter& StarRounds() {
+  static obs::Counter* c =
+      &obs::Registry::Default().counter("eval.star_rounds");
+  return *c;
 }
 
 }  // namespace
 
 namespace internal {
 
-/// Shared evaluation state: one instance per root evaluator (or per
-/// `EvalScratch`, when evaluations reuse scratch), reached by every
-/// sub-context evaluator spawned under it.
+/// Shared evaluation state: one instance per root evaluator, reached by
+/// every sub-context evaluator spawned under it.
 struct EvalShared {
   explicit EvalShared(const Tree& tree) : tree(tree) {}
 
   const Tree& tree;
-
-  /// Optional per-tree cross-query memo store (thread-safe, shared across
-  /// workers); null for standalone evaluations. The maps below then act as
-  /// a lock-free L1 in front of it.
-  TreeCache* tree_cache = nullptr;
 
   /// Scratch pool. All bitsets in `free_list` are all-zero; `Acquire`
   /// hands one out, `Recycle` zeroes the producer's context window and
@@ -65,20 +40,15 @@ struct EvalShared {
 
   /// Memo of `W φ` node sets, keyed by body identity. `W` results are
   /// context-independent (see Evaluator docs), so one entry serves every
-  /// context — this is what makes nested `W`s share work. Values point
-  /// either into `local_within` or into the attached `TreeCache`; the
-  /// bodies are pinned in `within_pins` so pointer keys cannot be reused
-  /// by a freed-and-reallocated expression while the scratch lives.
-  std::unordered_map<const NodeExpr*, const Bitset*> within_refs;
-  std::deque<Bitset> local_within;  // deque: stable element addresses
+  /// context — this is what makes nested `W`s share work. The bodies are
+  /// pinned in `within_pins` so pointer keys cannot be reused by a
+  /// freed-and-reallocated expression while the evaluation lives.
+  std::unordered_map<const NodeExpr*, Bitset> within_sets;
   std::vector<NodePtr> within_pins;
 
   /// Per-label node sets over the whole tree, built once on first use so
-  /// label tests in sub-contexts are word copies, not node scans. With a
-  /// `TreeCache` attached the sets live there (shared across queries and
-  /// workers) and `label_refs` caches the lookups lock-free.
+  /// label tests in sub-contexts are word copies, not node scans.
   std::unordered_map<Symbol, Bitset> label_sets;
-  std::unordered_map<Symbol, const Bitset*> label_refs;
 
   Bitset Acquire() {
     if (free_list.empty()) return Bitset(tree.size());
@@ -96,13 +66,6 @@ struct EvalShared {
   }
 
   const Bitset& LabelSet(Symbol label) {
-    if (tree_cache != nullptr) {
-      auto ref = label_refs.find(label);
-      if (ref != label_refs.end()) return *ref->second;
-      const Bitset& set = tree_cache->LabelSet(label);
-      label_refs.emplace(label, &set);
-      return set;
-    }
     auto it = label_sets.find(label);
     if (it != label_sets.end()) return it->second;
     Bitset set(tree.size());
@@ -117,33 +80,12 @@ struct EvalShared {
 
 using internal::EvalShared;
 
-EvalScratch::EvalScratch(const Tree& tree, TreeCache* tree_cache)
-    : shared_(std::make_unique<EvalShared>(tree)) {
-  if (tree_cache != nullptr) {
-    XPTC_CHECK(&tree_cache->tree() == &tree)
-        << "EvalScratch: TreeCache bound to a different tree";
-    shared_->tree_cache = tree_cache;
-  }
-}
-
-EvalScratch::~EvalScratch() = default;
-
 Evaluator::Evaluator(const Tree& tree, NodeId context_root)
     : tree_(tree),
       lo_(context_root),
       hi_(tree.SubtreeEnd(context_root)),
       owned_shared_(std::make_unique<EvalShared>(tree)),
       shared_(owned_shared_.get()) {}
-
-Evaluator::Evaluator(const Tree& tree, EvalScratch* scratch,
-                     NodeId context_root)
-    : tree_(tree),
-      lo_(context_root),
-      hi_(tree.SubtreeEnd(context_root)),
-      shared_(scratch->shared_.get()) {
-  XPTC_CHECK(&shared_->tree == &tree)
-      << "Evaluator: scratch bound to a different tree";
-}
 
 Evaluator::Evaluator(const Tree& tree, NodeId context_root,
                      EvalShared* shared)
@@ -173,12 +115,7 @@ void Evaluator::Rebind(NodeId context_root) {
 
 void Evaluator::AxisImageInto(Axis axis, const Bitset& sources,
                               Bitset* out) const {
-  // With a TreeCache attached, use its per-tree dispatch calibration; a
-  // standalone evaluation falls back to the default constants.
-  xptc::AxisImageInto(tree_, axis, sources, lo_, hi_, out,
-                      shared_->tree_cache != nullptr
-                          ? shared_->tree_cache->calibration()
-                          : axis::Calibration{});
+  xptc::AxisImageInto(tree_, axis, sources, lo_, hi_, out);
   // Per-axis-kernel node touches (image size), keyed by axis. The count is
   // O(window/64) and only paid while a trace is active on this thread.
   if (obs::TraceNode* cur = obs::QueryTrace::Current()) {
@@ -242,59 +179,28 @@ Bitset Evaluator::ComputeNode(const NodeExpr& node) {
 }
 
 const Bitset& Evaluator::WithinSet(const NodePtr& body) {
-  auto it = shared_->within_refs.find(body.get());
-  if (it != shared_->within_refs.end()) {
-    EvalMetrics::Get().within_l1_hits.Inc();
-    obs::TraceAddCount("w.l1_hits", 1);
-    return *it->second;
-  }
-
-  // L2: the per-tree cross-query cache, shared with other workers. A hit
-  // means some earlier evaluation — possibly of a different query on a
-  // different thread — already paid for this body on this tree.
-  const Bitset* result = nullptr;
-  if (shared_->tree_cache != nullptr) {
-    result = shared_->tree_cache->FindWithin(*body);
-    if (result != nullptr) {
-      EvalMetrics::Get().within_l2_hits.Inc();
-      obs::TraceAddCount("w.l2_hits", 1);
-      obs::TraceNote("W: tree_cache (L2) hit");
-    }
-  }
-
-  if (result == nullptr) {
-    EvalMetrics::Get().within_computed.Inc();
-    obs::TraceAddCount("w.computed", 1);
-    obs::TraceSpan w_span("eval.w_compute", &WComputeFlame());
-    w_span.Note("W: no cached set, computed bottom-up");
-    // wset[v] = 1 iff `body` holds at v in context T|v. The result only
-    // depends on the subtree of v (context evaluation never leaves T|v, and
-    // T|v is the same subtree in every enclosing context), so it is computed
-    // once over the whole tree and shared by every context and every nesting
-    // level. One pooled sub-evaluator is rebound bottom-up (descending
-    // preorder id = leaves first), so scratch memory is reused across all
-    // |T| sub-contexts and inner `W`s hit this memo recursively.
-    const int n = tree_.size();
-    Bitset wset(n);
-    if (n > 0) {
-      Evaluator sub(tree_, n - 1, shared_);
-      for (NodeId v = n - 1;; --v) {
-        sub.Rebind(v);
-        if (sub.EvalNodeRef(*body).Get(v)) wset.Set(v);
-        if (v == 0) break;
-      }
-    }
-    if (shared_->tree_cache != nullptr) {
-      // Racing computers of the same body converge on the first insert.
-      result = &shared_->tree_cache->StoreWithin(body, std::move(wset));
-    } else {
-      shared_->local_within.push_back(std::move(wset));
-      result = &shared_->local_within.back();
+  auto it = shared_->within_sets.find(body.get());
+  if (it != shared_->within_sets.end()) return it->second;
+  // wset[v] = 1 iff `body` holds at v in context T|v. The result only
+  // depends on the subtree of v (context evaluation never leaves T|v, and
+  // T|v is the same subtree in every enclosing context), so it is computed
+  // once over the whole tree and shared by every context and every nesting
+  // level. One pooled sub-evaluator is rebound bottom-up (descending
+  // preorder id = leaves first), so scratch memory is reused across all
+  // |T| sub-contexts and inner `W`s hit this memo recursively.
+  const int n = tree_.size();
+  Bitset wset(n);
+  if (n > 0) {
+    Evaluator sub(tree_, n - 1, shared_);
+    for (NodeId v = n - 1;; --v) {
+      sub.Rebind(v);
+      if (sub.EvalNodeRef(*body).Get(v)) wset.Set(v);
+      if (v == 0) break;
     }
   }
   shared_->within_pins.push_back(body);
-  shared_->within_refs.emplace(body.get(), result);
-  return *result;
+  return shared_->within_sets.emplace(body.get(), std::move(wset))
+      .first->second;
 }
 
 Bitset Evaluator::EvalNode(const NodeExpr& node) { return EvalNodeRef(node); }
@@ -366,7 +272,7 @@ Bitset Evaluator::EvalBackTmp(const PathExpr& path, const Bitset& targets) {
         shared_->Recycle(std::move(frontier), lo_, hi_);
         frontier = std::move(step);
       }
-      EvalMetrics::Get().star_rounds.Add(rounds);
+      StarRounds().Add(rounds);
       obs::TraceAddCount("star_rounds", rounds);
       shared_->Recycle(std::move(frontier), lo_, hi_);
       return reached;
@@ -428,7 +334,7 @@ Bitset Evaluator::EvalFwdTmp(const PathExpr& path, const Bitset& sources) {
         shared_->Recycle(std::move(frontier), lo_, hi_);
         frontier = std::move(step);
       }
-      EvalMetrics::Get().star_rounds.Add(rounds);
+      StarRounds().Add(rounds);
       obs::TraceAddCount("star_rounds", rounds);
       shared_->Recycle(std::move(frontier), lo_, hi_);
       return reached;

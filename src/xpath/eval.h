@@ -11,42 +11,17 @@
 
 namespace xptc {
 
-class TreeCache;  // workload/tree_cache.h — per-tree cross-query memos
-
 namespace internal {
 /// State shared by an evaluator and all sub-context evaluators it spawns
-/// (for `W`): a scratch-bitset pool, per-label node sets, and the global
-/// memo of `W` results. Defined in eval.cc.
+/// (for `W`): a scratch-bitset pool, per-label node sets, and the memo of
+/// `W` results. Defined in eval.cc.
 struct EvalShared;
 }  // namespace internal
 
-/// Reusable evaluation scratch bound to one tree: owns the bitset pool,
-/// the per-label sets, and the `W` memo references shared by successive
-/// `Evaluator`s constructed over it. Reusing one `EvalScratch` across many
-/// evaluations of the same tree keeps the pool warm, so the steady-state
-/// hot path allocates no bitsets at all — this is the per-worker scratch
-/// object of the batch engine.
-///
-/// Optionally attaches a `TreeCache`, which lifts the `W`-result and
-/// per-label memos to per-tree (cross-query, cross-thread) lifetime; the
-/// scratch then acts as a lock-free L1 in front of the mutex-sharded
-/// cache. An `EvalScratch` itself is NOT thread-safe: use one per thread.
-class EvalScratch {
- public:
-  /// `tree_cache` may be null (purely local memos). If given, it must be
-  /// bound to the same `tree` object and must outlive the scratch.
-  explicit EvalScratch(const Tree& tree, TreeCache* tree_cache = nullptr);
-  ~EvalScratch();
-
-  EvalScratch(const EvalScratch&) = delete;
-  EvalScratch& operator=(const EvalScratch&) = delete;
-
- private:
-  friend class Evaluator;
-  std::unique_ptr<internal::EvalShared> shared_;
-};
-
-/// Set-based evaluator for Regular XPath(W) — the production engine.
+/// Set-based evaluator for Regular XPath(W) — the reference interpreter.
+/// It serves `Query::Select` and the `sets` fuzz oracle; production
+/// evaluation runs on the compiled `exec::ExecEngine`, which this
+/// independent implementation cross-checks.
 ///
 /// Works over node *sets* (bitsets) with O(|T|) axis images, so Core XPath
 /// node expressions evaluate in O(|Q|·|T|) (the Gottlob–Koch–Pichler bound);
@@ -77,11 +52,6 @@ class EvalScratch {
 class Evaluator {
  public:
   explicit Evaluator(const Tree& tree, NodeId context_root = 0);
-
-  /// Evaluator borrowing external scratch (pool + memos), typically reused
-  /// across many evaluations on the same tree. `scratch` must be bound to
-  /// `tree` and outlive the evaluator.
-  Evaluator(const Tree& tree, EvalScratch* scratch, NodeId context_root = 0);
 
   ~Evaluator();
 
@@ -131,8 +101,7 @@ class Evaluator {
   Bitset EvalFwdTmp(const PathExpr& path, const Bitset& sources);
   void AxisImageInto(Axis axis, const Bitset& sources, Bitset* out) const;
 
-  // The global `W φ` node set (lazily computed, memoized in shared state
-  // and, when attached, in the per-tree cross-query `TreeCache`).
+  // The global `W φ` node set (lazily computed, memoized in shared state).
   const Bitset& WithinSet(const NodePtr& body);
 
   const Tree& tree_;

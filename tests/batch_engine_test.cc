@@ -7,10 +7,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "exec/engine.h"
+#include "exec/program.h"
 #include "tree/generate.h"
 #include "workload/tree_cache.h"
 #include "xpath/engine.h"
-#include "xpath/eval.h"
 #include "xpath/generator.h"
 #include "test_util.h"
 
@@ -128,31 +129,6 @@ TEST(BatchEngineTest, SecondRunIsWarmAndStillCorrect) {
   EXPECT_EQ(within_total, within_after);
 }
 
-TEST(BatchEngineTest, RunPathsMatchesFromSet) {
-  Alphabet alphabet;
-  const auto trees = SharedCorpus(&alphabet, 16, 9);
-  const char* texts[] = {"child/child", "desc[a]", "(child)*",
-                         "(child[a] | right)*", "desc/anc"};
-  std::vector<PathQuery> paths;
-  for (const char* text : texts) {
-    paths.push_back(PathQuery::Parse(text, &alphabet).ValueOrDie());
-  }
-  BatchOptions options;
-  options.num_workers = 3;
-  BatchEngine engine(options);
-  for (const auto& tree : trees) engine.AddTree(tree);
-  const auto got = engine.RunPaths(paths);
-  ASSERT_EQ(got.size(), trees.size());
-  for (size_t t = 0; t < trees.size(); ++t) {
-    Bitset root_set(trees[t]->size());
-    root_set.Set(trees[t]->root());
-    for (size_t q = 0; q < paths.size(); ++q) {
-      EXPECT_EQ(got[t][q], paths[q].FromSet(*trees[t], root_set))
-          << "tree " << t << " path " << q;
-    }
-  }
-}
-
 TEST(BatchEngineTest, SelectBatchFacade) {
   Alphabet alphabet;
   const auto trees = SharedCorpus(&alphabet, 12, 3);
@@ -190,10 +166,10 @@ TEST(BatchEngineTest, ExternalPoolIsShared) {
   ExpectAllEqual(second.Run(queries), trees, queries);
 }
 
-// The TSan target: one shared TreeCache used simultaneously by raw
-// EvalScratch evaluations on external threads and by a BatchEngine run.
-// Any missing synchronisation in TreeCache/EvalShared shows up here.
-TEST(BatchEngineStressTest, ConcurrentSelectAndBatchRunOnSharedCaches) {
+// The TSan target: one shared TreeCache used simultaneously by standalone
+// ExecEngines on external threads and by a BatchEngine run. Any missing
+// synchronisation in TreeCache shows up here.
+TEST(BatchEngineStressTest, ConcurrentEnginesAndBatchRunOnSharedCaches) {
   Alphabet alphabet;
   auto tree = std::make_shared<Tree>(
       testing_util::T("a(b(d(a,b),e(c)),c(b(a),d))", &alphabet));
@@ -206,17 +182,21 @@ TEST(BatchEngineStressTest, ConcurrentSelectAndBatchRunOnSharedCaches) {
   BatchEngine engine(options);
   engine.AddTree(tree);
   const std::shared_ptr<TreeCache>& cache = engine.tree_cache(0);
+  std::vector<std::shared_ptr<const exec::Program>> programs;
+  for (const Query& query : queries) {
+    programs.push_back(exec::Program::Compile(query.plan()));
+  }
 
   std::vector<std::thread> threads;
   threads.reserve(3);
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&, t] {
-      // Each external thread owns its scratch but shares the TreeCache
-      // with the engine's workers and the other threads.
-      EvalScratch scratch(*tree, cache.get());
+      // Each external thread owns its engine but shares the TreeCache
+      // with the batch engine's workers and the other threads.
+      exec::ExecEngine own(*tree, cache.get());
       for (int round = 0; round < 20; ++round) {
         const size_t q = static_cast<size_t>((t + round) % queries.size());
-        const Bitset got = queries[q].Select(*tree, &scratch);
+        const Bitset got = own.Eval(*programs[q]);
         ASSERT_EQ(got, expected[q]) << "thread " << t << " round " << round;
       }
     });
@@ -238,7 +218,7 @@ TEST(BatchEngineStressTest, ConcurrentRunsOnOneEngine) {
   options.num_workers = 2;
   BatchEngine engine(options);
   for (const auto& tree : trees) engine.AddTree(tree);
-  engine.Run(queries);  // settle scratch rows before racing Runs
+  engine.Run(queries);  // settle engine rows before racing Runs
   std::vector<std::thread> callers;
   callers.reserve(2);
   for (int c = 0; c < 2; ++c) {

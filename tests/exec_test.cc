@@ -1,8 +1,9 @@
 // Tests for the compiled execution backend (src/exec/): lowering
 // determinism, DAG sharing, the fuse and value-numbering rules, register
 // allocation, the bytecode register
-// machine, the one-pass downward engine, and the integration surfaces
-// (BatchEngine::RunCompiled, PlanCache::ParseCompiled).
+// machine, the one-pass downward engine, `W` bodies on the windowed
+// register machine, and the integration surfaces (BatchEngine::Run,
+// PlanCache::ParseCompiled).
 //
 // The correctness bar throughout is bit-for-bit agreement with the
 // interpreter (`Evaluator`) — the compiled engines are alternative
@@ -13,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,12 +25,15 @@
 #include "common/rng.h"
 #include "exec/engine.h"
 #include "exec/program.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 #include "tree/generate.h"
 #include "workload/batch.h"
 #include "workload/plan_cache.h"
+#include "workload/tree_cache.h"
 #include "xpath/axis_kernels.h"
 #include "xpath/eval.h"
+#include "xpath/eval_naive.h"
 #include "xpath/fragment.h"
 #include "xpath/generator.h"
 #include "xpath/parser.h"
@@ -366,9 +372,130 @@ TEST(ExecEngineTest, HybridDispatchFallsBackOnDeepSparseStars) {
   EXPECT_EQ(collapsed_engine.last_run().star_rounds_used, 0);
 }
 
+// ---------------------------------------------------------------- W bodies
+
+TEST(ExecWithinTest, NestedBodiesMatchInterpreterAndNaive) {
+  // `W` bodies run on the windowed register machine, one subtree window
+  // per context. Nested bodies with stars, filters and sibling/prec axes
+  // on the shapes where windows matter most: a chain (every window a
+  // suffix), a caterpillar (deep spine, leaf fringe) and a uniform tree.
+  Alphabet alphabet;
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 3);
+  const char* texts[] = {
+      "W(<(child[a])*[b]>)",
+      "W(<desc[W(<prec[a]>) and b]>)",
+      "W(<(fsib[a] | psib)*[W(<child[b]/foll[c]>)]>) or "
+      "<anc[W(a and not <prec[b]>)]>",
+      "<(child[W(<(right)*[a]>)])*[W(<desc[b]> and not <(parent)*[c]>)]>",
+      "W(W(<prec[a]>) and <(child)*[W(<psib[b]>)]>)",
+      "W(<(child[W(<(prec[b])*[c]>)])*[a]>) and not W(<anc[b]>)",
+  };
+  Rng rng(4242);
+  for (const TreeShape shape :
+       {TreeShape::kChain, TreeShape::kCaterpillar,
+        TreeShape::kUniformRecursive}) {
+    for (const int n : {40, 300}) {
+      TreeGenOptions options;
+      options.num_nodes = n;
+      options.shape = shape;
+      const auto tree =
+          std::make_shared<const Tree>(GenerateTree(options, labels, &rng));
+      TreeCache cache(tree);
+      for (const char* text : texts) {
+        const NodePtr query = N(text, &alphabet);
+        auto program = Program::Compile(query);
+        std::string error;
+        ASSERT_TRUE(exec::VerifyProgram(*program, &error)) << error;
+        ASSERT_FALSE(program->within_bodies().empty());
+        const Bitset reference = Interpret(*tree, query);
+        if (n <= 96) {
+          ASSERT_EQ(EvalNodeNaive(*tree, *query), reference) << text;
+        }
+        ExecEngine local(*tree);
+        EXPECT_EQ(local.EvalGeneral(*program), reference)
+            << text << " on " << TreeShapeToString(shape) << " n=" << n;
+        // Twice through engines on the shared cache: the first computes
+        // (or finds L2 sets), the second starts cold but hits L2.
+        for (int round = 0; round < 2; ++round) {
+          ExecEngine shared(*tree, &cache);
+          EXPECT_EQ(shared.Eval(*program), reference)
+              << text << " round " << round;
+          EXPECT_EQ(shared.Eval(*program), reference) << text << " (L1)";
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecWithinTest, CancelDuringPassStoresNothingAndRerunIsCorrect) {
+  // A chain of `a`s with one `b` at the bottom: in every context the star
+  // climbs the whole window one round at a time, so the W pass takes
+  // ~n²/2 star rounds — long enough for a helper thread to raise the
+  // cancel flag once the pass has started.
+  Alphabet alphabet;
+  const Symbol a = alphabet.Intern("a");
+  const Symbol b = alphabet.Intern("b");
+  constexpr int kNodes = 1024;
+  TreeBuilder builder;
+  for (int i = 0; i < kNodes; ++i) builder.Begin(i == kNodes - 1 ? b : a);
+  for (int i = 0; i < kNodes; ++i) builder.End();
+  const auto tree =
+      std::make_shared<const Tree>(std::move(builder).Finish().ValueOrDie());
+  TreeCache cache(tree);
+  auto program = Program::Compile(N("W(<(child[a or b])*[b]>)", &alphabet));
+  Bitset expected(kNodes);
+  expected.SetAll();  // every context reaches the bottom `b`
+
+  obs::Counter& computed =
+      obs::Registry::Default().counter("eval.within_computed");
+  const size_t entries_before = cache.within_entries();
+  std::atomic<bool> cancel{false};
+  ExecEngine engine(*tree, &cache);
+  engine.SetCancelFlag(&cancel);
+  const int64_t started = computed.value();
+  std::thread canceller([&] {
+    while (computed.value() == started) std::this_thread::yield();
+    cancel.store(true);
+  });
+  engine.Eval(*program);
+  canceller.join();
+  EXPECT_TRUE(engine.last_run().deadline_expired);
+  EXPECT_EQ(cache.within_entries(), entries_before);
+
+  // The same engine, flag lowered: the pass reruns from scratch (nothing
+  // was memoised in L1 either) and stores exactly one set.
+  cancel.store(false);
+  EXPECT_EQ(engine.Eval(*program), expected);
+  EXPECT_FALSE(engine.last_run().deadline_expired);
+  EXPECT_EQ(cache.within_entries(), entries_before + 1);
+}
+
+TEST(ExecWithinTest, NestingAtTheParserDepthLimitCompilesAndEvaluates) {
+  // The deepest `W(W(...W(φ)...))` the parser accepts: one sub-program per
+  // level, resolved innermost first without recursion in the engine.
+  Alphabet alphabet;
+  const auto nested = [](int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += "W(";
+    return text + "a or <prec[b]>" +
+           std::string(static_cast<size_t>(depth), ')');
+  };
+  int depth = 1;
+  while (ParseNode(nested(depth + 1), &alphabet).ok()) ++depth;
+  ASSERT_GE(depth, 190);
+  const NodePtr query = N(nested(depth), &alphabet);
+  auto program = Program::Compile(query);
+  std::string error;
+  ASSERT_TRUE(exec::VerifyProgram(*program, &error)) << error;
+  EXPECT_EQ(static_cast<int>(program->within_bodies().size()), depth);
+  Tree tree = T("b(a(b, c(a)), c(b, a(c)), a)", &alphabet);
+  ExecEngine engine(tree);
+  EXPECT_EQ(engine.Eval(*program), Interpret(tree, query));
+}
+
 // ------------------------------------------------------------- integration
 
-TEST(ExecIntegrationTest, BatchRunCompiledMatchesInterpreterRun) {
+TEST(ExecIntegrationTest, BatchRunMatchesInterpreter) {
   Alphabet alphabet;
   Rng rng(81);
   const std::vector<Symbol> labels = DefaultLabels(&alphabet, 4);
@@ -384,15 +511,15 @@ TEST(ExecIntegrationTest, BatchRunCompiledMatchesInterpreterRun) {
   for (const Tree& tree : CorpusTrees(&alphabet, 4, 24, 82)) {
     engine.AddTree(std::make_shared<Tree>(tree));
   }
-  const auto reference = engine.Run(queries);
   // Twice: the second call runs on warm per-(worker, tree) ExecEngines.
   for (int round = 0; round < 2; ++round) {
-    const auto compiled = engine.RunCompiled(queries);
-    ASSERT_EQ(compiled.size(), reference.size());
-    for (size_t t = 0; t < reference.size(); ++t) {
-      ASSERT_EQ(compiled[t].size(), reference[t].size());
-      for (size_t q = 0; q < reference[t].size(); ++q) {
-        ASSERT_EQ(compiled[t][q], reference[t][q])
+    const auto compiled = engine.Run(queries);
+    ASSERT_EQ(compiled.size(), static_cast<size_t>(engine.num_trees()));
+    for (size_t t = 0; t < compiled.size(); ++t) {
+      const Tree& tree = engine.tree_cache(static_cast<int>(t))->tree();
+      ASSERT_EQ(compiled[t].size(), queries.size());
+      for (size_t q = 0; q < queries.size(); ++q) {
+        ASSERT_EQ(compiled[t][q], queries[q].Select(tree))
             << "tree " << t << " query " << q << " round " << round;
       }
     }

@@ -111,18 +111,6 @@ TEST(PlanCacheTest, ParseErrorsAreNotCached) {
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
-TEST(PlanCacheTest, PathQueriesAreCachedSeparately) {
-  Alphabet alphabet;
-  PlanCache cache;
-  auto p1 = cache.ParsePath("child/desc[a]", &alphabet).ValueOrDie();
-  auto p2 = cache.ParsePath("child/desc[a]", &alphabet).ValueOrDie();
-  EXPECT_EQ(p1.get(), p2.get());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  // A node query with coincidentally identical text would be a different
-  // key (is_path differs) — no cross-contamination.
-  EXPECT_EQ(cache.size(), 1u);
-}
-
 TEST(PlanCacheTest, UnoptimizedAndOptimizedAreDistinctEntries) {
   Alphabet alphabet;
   PlanCache cache;
