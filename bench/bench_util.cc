@@ -9,6 +9,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/json.h"
 #include "testing/corpus.h"
 
 namespace xptc {
@@ -135,16 +136,6 @@ std::string ServingJsonPath() {
 
 namespace {
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 // Splits the body of a top-level JSON object into (key, raw-value) pairs.
 // Only has to understand JSON that this module itself wrote, but tracks
 // strings and brace/bracket depth so nested objects pass through intact.
@@ -217,8 +208,8 @@ std::string SpeedupCasesJson(const std::vector<SpeedupCase>& cases) {
     const double speedup =
         c.opt_seconds > 0 ? c.naive_seconds / c.opt_seconds : 0;
     if (i > 0) out << ", ";
-    out << "{\"name\": \"" << JsonEscape(c.name) << "\", \"query\": \""
-        << JsonEscape(c.query) << "\", \"n\": " << c.n
+    out << "{\"name\": " << JsonString(c.name)
+        << ", \"query\": " << JsonString(c.query) << ", \"n\": " << c.n
         << ", \"naive_seconds\": " << Fmt(c.naive_seconds, 6)
         << ", \"opt_seconds\": " << Fmt(c.opt_seconds, 6)
         << ", \"speedup\": " << Fmt(speedup, 2)
@@ -262,8 +253,8 @@ bool UpdateBenchJson(const std::string& path, const std::string& key,
     if (!out) return false;
     out << "{\n";
     for (size_t i = 0; i < sections.size(); ++i) {
-      out << "  \"" << JsonEscape(sections[i].first)
-          << "\": " << sections[i].second;
+      out << "  " << JsonString(sections[i].first) << ": "
+          << sections[i].second;
       if (i + 1 < sections.size()) out << ",";
       out << "\n";
     }

@@ -116,9 +116,9 @@ std::string KernelsJsonPath();
 std::string AxisJsonPath();
 
 /// Path of the serving benchmark JSON (XPTC_BENCH_SERVING_JSON or
-/// BENCH_serving.json): loopback latency percentiles, saturation QPS, and
-/// the overload shed accounting from bench/exp15_serving.cc. Separate
-/// file because the numbers depend on core count and the loopback stack.
+/// BENCH_serving.json): the flight-recorder gates from
+/// bench/exp17_flight_recorder.cc. Separate file because the numbers
+/// depend on core count and the loopback stack.
 std::string ServingJsonPath();
 
 /// Deterministic tree for benchmarks.

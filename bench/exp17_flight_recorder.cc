@@ -1,7 +1,7 @@
 // E17 — Serving-path flight recorder: the cost and the coverage of the
 // tracing/journal layer (src/obs/recorder.h, src/obs/journal.h) on the
-// live serving path. Like E15 this measures no claim from the paper; it
-// gates the observability the repo grew around the paper's evaluator.
+// live serving path. It measures no claim from the paper; it gates the
+// observability the repo grew around the paper's evaluator.
 // Three sections, all hard CI gates:
 //   1. crash dump: a forked child installs the crash handler, writes
 //      known marker events from three concurrent threads, and abort()s;
@@ -111,7 +111,7 @@ constexpr int kMarksPerWriter = 16;
   obs::Journal::InstallCrashHandler(dump_path);
   std::atomic<int> done{0};
   const auto writer = [&](int w) {
-    obs::Journal::ScopedRequestId id(0xE1700u + static_cast<uint64_t>(w));
+    obs::RequestScope scope(0xE1700u + static_cast<uint64_t>(w), nullptr);
     for (int i = 0; i < kMarksPerWriter; ++i) {
       obs::Journal::Record(obs::JournalCode::kMark,
                            static_cast<uint64_t>(w) * 1000 +

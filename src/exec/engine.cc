@@ -134,7 +134,7 @@ void ExecEngine::FinishRun(const Bitset* result) {
     metrics.deadline_expired.Inc();
     // Flight-recorder post-mortem breadcrumb: which request blew its
     // deadline mid-execution, and how far it got. Attribution comes from
-    // the thread's ScopedRequestId (set by the server worker / batch task).
+    // the thread's obs::RequestScope (set by the server worker / batch task).
     obs::Journal::Record(obs::JournalCode::kDeadlineExec,
                          static_cast<uint64_t>(last_run_.star_rounds_used));
   }
@@ -152,7 +152,7 @@ void ExecEngine::FinishRun(const Bitset* result) {
       metrics.disp_general.Inc();
       break;
   }
-  obs::TraceNode* cur = obs::QueryTrace::Current();
+  obs::TraceNode* cur = obs::CurrentTraceNode();
   if (cur == nullptr) return;
   cur->notes.push_back(std::string("dispatch: ") +
                        DispatchName(last_run_.dispatch));
@@ -426,7 +426,7 @@ bool ExecEngine::RunRange(const Program& program, int begin, int end,
         // Per-axis-kernel node touches: the size of the produced image,
         // keyed by axis. Only counted (and only paid — CountRange is
         // O(window/64)) when a trace is active on this thread.
-        if (obs::TraceNode* cur = obs::QueryTrace::Current()) {
+        if (obs::TraceNode* cur = obs::CurrentTraceNode()) {
           cur->AddAttr(std::string("axis.") + AxisToString(ins.axis) +
                            ".touches",
                        dst.CountRange(lo, hi));

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "exec/engine.h"
 #include "exec/program.h"
 #include "obs/metrics.h"
@@ -46,7 +47,7 @@ Result<TreeShape> ShapeFromString(const std::string& name) {
 int64_t SumAttr(const TraceNode& node, const std::string& key) {
   int64_t total = 0;
   if (const int64_t* v = node.FindAttr(key)) total += *v;
-  for (const auto& child : node.children) total += SumAttr(*child, key);
+  for (const TraceNode& child : node.children) total += SumAttr(child, key);
   return total;
 }
 
@@ -57,7 +58,9 @@ int64_t CountNotes(const TraceNode& node, const std::string& note) {
   for (const std::string& n : node.notes) {
     if (n == note) ++total;
   }
-  for (const auto& child : node.children) total += CountNotes(*child, note);
+  for (const TraceNode& child : node.children) {
+    total += CountNotes(child, note);
+  }
   return total;
 }
 
@@ -72,8 +75,9 @@ int64_t DeltaCounter(const Snapshot& delta, const std::string& name) {
 /// with everything under one trace, so every shared observable must agree
 /// bit for bit — any drift means an instrumentation site updated one
 /// channel and not the other.
-bool TraceMatchesRegistry(const TraceNode& root, const Snapshot& delta,
+bool TraceMatchesRegistry(const RequestTrace& trace, const Snapshot& delta,
                           std::vector<std::string>* mismatches) {
+  const TraceNode& root = trace.root;
   struct Pair {
     const char* counter;     // registry name
     const char* trace_attr;  // summed trace attribute; nullptr → note
@@ -93,6 +97,13 @@ bool TraceMatchesRegistry(const TraceNode& root, const Snapshot& delta,
       {"plan_cache.program_misses", nullptr, "plan_cache: program miss, lowered"},
   };
   bool ok = true;
+  if (trace.dropped_spans != 0) {
+    // What was counted inside a dropped span is gone from the trace.
+    ok = false;
+    mismatches->push_back("trace: " + std::to_string(trace.dropped_spans) +
+                          " spans dropped past the " +
+                          std::to_string(kMaxTraceSpans) + "-span cap");
+  }
   for (const Pair& pair : kPairs) {
     const int64_t from_trace = pair.trace_attr != nullptr
                                    ? SumAttr(root, pair.trace_attr)
@@ -163,15 +174,6 @@ std::string DeterministicDeltaJson(const Snapshot& delta) {
   return out;
 }
 
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
 }  // namespace
 
 Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
@@ -204,7 +206,8 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
   // --- Traced pipeline: parse → lower → execute → cross-check -----------
   const Snapshot before = Registry::Default().Collect();
 
-  QueryTrace trace;
+  RequestTrace trace;
+  trace.sampled = true;  // EXPLAIN traces its one evaluation in full
   PlanCache cache;
   TreeCache tree_cache(tree);
   exec::ExecEngine engine(*tree, &tree_cache);
@@ -212,7 +215,7 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
   Bitset compiled_result;
   Bitset interp_result;
   {
-    QueryTrace::Scope scope(&trace);
+    RequestScope scope(CurrentFlightId(), &trace);
     {
       TraceSpan parse_span("plan_cache.parse_compiled");
       XPTC_ASSIGN_OR_RETURN(compiled,
@@ -237,10 +240,16 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
 
   ExplainOutput out;
   out.match = match;
-  out.trace_json = trace.ToJson(/*with_times=*/false);
+  const auto trace_json = [&trace](bool with_times) {
+    std::string json;
+    NodeToJson(trace.root, with_times, /*indent=*/0, &json);
+    json.push_back('\n');
+    return json;
+  };
+  out.trace_json = trace_json(/*with_times=*/false);
   out.registry_json = DeterministicDeltaJson(delta);
   std::vector<std::string> mismatches;
-  out.consistent = TraceMatchesRegistry(trace.root(), delta, &mismatches);
+  out.consistent = TraceMatchesRegistry(trace, delta, &mismatches);
 
   // --- Rendering --------------------------------------------------------
   const Query& query = *compiled.query;
@@ -251,9 +260,9 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
   if (options.json) {
     std::string& r = out.rendered;
     r = "{\n  \"query\": ";
-    AppendJsonEscaped(&r, options.query);
+    AppendJsonString(&r, options.query);
     r.append(",\n  \"document\": ");
-    AppendJsonEscaped(&r, document_line);
+    AppendJsonString(&r, document_line);
     r.append(",\n  \"dialect\": {\"plan\": \"");
     r.append(DialectToString(query.dialect()));
     r.append("\", \"source\": \"");
@@ -273,7 +282,7 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
     r.append(",\n  \"registry_delta\": ");
     r.append(out.registry_json);
     r.append(",\n  \"trace\": ");
-    r.append(trace.ToJson(options.with_times));
+    r.append(trace_json(options.with_times));
     r.append("}\n");
     return out;
   }
@@ -312,7 +321,9 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
      << (match ? "interpreter bit-for-bit match" : "INTERPRETER MISMATCH")
      << "\n";
   os << "\n";
-  os << "trace:\n" << trace.ToText(options.with_times);
+  std::string trace_text;
+  NodeToText(trace.root, options.with_times, /*indent=*/0, &trace_text);
+  os << "trace:\n" << trace_text;
   os << "\n";
   os << "registry delta (counters): " << out.registry_json << "\n";
   os << "consistent: " << (out.consistent ? "true" : "false") << "\n";

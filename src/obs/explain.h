@@ -11,7 +11,7 @@ namespace obs {
 
 /// What `tools/xptc_explain` runs: one query, one document, the full
 /// pipeline (PlanCache parse + lowering, hybrid compiled execution,
-/// interpreter cross-check), all under an active `QueryTrace`.
+/// interpreter cross-check), all under one traced `RequestScope`.
 struct ExplainOptions {
   std::string query;
 
@@ -37,7 +37,7 @@ struct ExplainOutput {
   std::string rendered;
 
   /// Always-populated machine views (deterministic: no timings):
-  std::string trace_json;     // the QueryTrace tree
+  std::string trace_json;     // the RequestTrace span tree
   std::string registry_json;  // this query's registry delta (counters)
 
   /// True iff every number the trace reports (star rounds, instruction

@@ -6,7 +6,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/trace.h"
@@ -42,32 +41,9 @@ std::atomic<ThreadRing*> g_rings[kMaxRings];
 std::atomic<int> g_ring_count{0};
 std::atomic<bool> g_enabled{true};
 
-size_t RingCapacity() {
-  static const size_t cap = [] {
-    size_t want = 65536;
-    if (const char* env = std::getenv("XPTC_JOURNAL_EVENTS")) {
-      const long long v = std::atoll(env);
-      if (v >= 16 && v <= (1 << 24)) want = static_cast<size_t>(v);
-    }
-    size_t cap2 = 16;
-    while (cap2 < want) cap2 <<= 1;
-    return cap2;
-  }();
-  return cap;
-}
-
-struct EnabledInit {
-  EnabledInit() {
-    if (const char* env = std::getenv("XPTC_JOURNAL")) {
-      if (env[0] == '0' && env[1] == '\0') {
-        g_enabled.store(false, std::memory_order_relaxed);
-      }
-    }
-  }
-};
+constexpr size_t kRingCapacity = 65536;  // a power of two
 
 ThreadRing* AcquireRing() {
-  static EnabledInit init_once;
   // Prefer recycling a ring whose owner thread has exited.
   const int n = g_ring_count.load(std::memory_order_acquire);
   for (int i = 0; i < n; ++i) {
@@ -86,8 +62,8 @@ ThreadRing* AcquireRing() {
     return nullptr;
   }
   auto* ring = new ThreadRing();
-  ring->mask = RingCapacity() - 1;
-  ring->records = new JournalRecord[RingCapacity()]();
+  ring->mask = kRingCapacity - 1;
+  ring->records = new JournalRecord[kRingCapacity]();
   ring->in_use.store(true, std::memory_order_relaxed);
   g_rings[slot].store(ring, std::memory_order_release);
   return ring;
@@ -103,7 +79,6 @@ struct RingHolder {
 };
 
 thread_local RingHolder t_ring;
-thread_local uint64_t t_request_id = 0;
 
 ThreadRing* CurrentRing() {
   RingHolder& holder = t_ring;
@@ -188,7 +163,7 @@ void CrashHandler(int sig) {
     const uint64_t h = ring->head.load(std::memory_order_relaxed);
     JournalRecord& rec = ring->records[h & ring->mask];
     rec.ts_ns = 0;  // NowNs() is not guaranteed signal-safe; 0 marks it
-    rec.request_id = t_request_id;
+    rec.request_id = CurrentFlightId();
     rec.arg = static_cast<uint64_t>(sig);
     rec.code = static_cast<uint32_t>(JournalCode::kCrash);
     rec.seq = static_cast<uint32_t>(h);
@@ -241,7 +216,7 @@ void Journal::Record(JournalCode code, uint64_t arg, uint64_t request_id,
   const uint64_t h = ring->head.load(std::memory_order_relaxed);
   JournalRecord& rec = ring->records[h & ring->mask];
   rec.ts_ns = ts_ns != 0 ? ts_ns : NowNs();
-  rec.request_id = request_id == 0 ? t_request_id
+  rec.request_id = request_id == 0 ? CurrentFlightId()
                    : request_id == kNoRequest ? 0
                                               : request_id;
   rec.arg = arg;
@@ -251,24 +226,12 @@ void Journal::Record(JournalCode code, uint64_t arg, uint64_t request_id,
 }
 
 void Journal::SetEnabled(bool on) {
-  static EnabledInit init_once;  // a later SetEnabled wins over the env
   g_enabled.store(on, std::memory_order_relaxed);
 }
 
-bool Journal::enabled() {
-  static EnabledInit init_once;
-  return g_enabled.load(std::memory_order_relaxed);
-}
+bool Journal::enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
-size_t Journal::ring_capacity() { return RingCapacity(); }
-
-Journal::ScopedRequestId::ScopedRequestId(uint64_t id) : saved_(t_request_id) {
-  t_request_id = id;
-}
-
-Journal::ScopedRequestId::~ScopedRequestId() { t_request_id = saved_; }
-
-uint64_t Journal::CurrentRequestId() { return t_request_id; }
+size_t Journal::ring_capacity() { return kRingCapacity; }
 
 std::string Journal::DumpBinary() {
   std::string out(kDumpMagic, sizeof(kDumpMagic));

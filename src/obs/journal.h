@@ -71,37 +71,21 @@ class Journal {
   /// Appends one record to the calling thread's ring (allocating and
   /// registering the ring on the thread's first event). No-op while
   /// disabled. `request_id` 0 means "use the thread's current flight id"
-  /// (see ScopedRequestId) — pass kNoRequest to force 0. `ts_ns` 0 reads
-  /// the clock; call sites that just read it for phase timing pass their
-  /// timestamp instead, so a hot-path event costs one clock read, not two.
+  /// (the enclosing obs::RequestScope) — pass kNoRequest to force 0.
+  /// `ts_ns` 0 reads the clock; call sites that just read it for phase
+  /// timing pass their timestamp instead, so a hot-path event costs one
+  /// clock read, not two.
   static void Record(JournalCode code, uint64_t arg, uint64_t request_id = 0,
                      int64_t ts_ns = 0);
   static constexpr uint64_t kNoRequest = ~uint64_t{0};
 
-  /// Global on/off. Default: on, unless env XPTC_JOURNAL=0. Toggling off
-  /// stops new records; existing rings keep their contents.
+  /// Global on/off (default on). Toggling off stops new records; existing
+  /// rings keep their contents.
   static void SetEnabled(bool on);
   static bool enabled();
 
-  /// Records per thread ring (rounded up to a power of two). Default 65536,
-  /// env XPTC_JOURNAL_EVENTS; fixed at the first ring allocation.
+  /// Records per thread ring: 65,536 (2 MiB of 32-byte records).
   static size_t ring_capacity();
-
-  /// The calling thread's current flight id, stamped into records whose
-  /// `request_id` is 0. Scope it around request execution so every
-  /// instrumentation site below (exec deadline probe, batch tasks) is
-  /// attributed without threading ids through signatures.
-  class ScopedRequestId {
-   public:
-    explicit ScopedRequestId(uint64_t id);
-    ~ScopedRequestId();
-    ScopedRequestId(const ScopedRequestId&) = delete;
-    ScopedRequestId& operator=(const ScopedRequestId&) = delete;
-
-   private:
-    uint64_t saved_;
-  };
-  static uint64_t CurrentRequestId();
 
   /// Serialises every ring, oldest record first per thread (see the dump
   /// format in journal.cc). Safe to call from any thread while writers run.

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/json.h"
 #include "obs/metrics.h"
 
 namespace xptc {
@@ -42,41 +43,7 @@ struct PhaseMetrics {
   }
 };
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
-thread_local RequestTrace* t_trace = nullptr;
-
 }  // namespace
-
-const char* PhaseName(Phase phase) {
-  switch (phase) {
-    case Phase::kAccept: return "accept";
-    case Phase::kParse: return "parse";
-    case Phase::kQueue: return "queue";
-    case Phase::kExec: return "exec";
-    case Phase::kEncode: return "encode";
-    case Phase::kFlush: return "flush";
-  }
-  return "?";
-}
 
 std::string FormatFlightId(uint64_t id) {
   char buf[20];
@@ -130,14 +97,12 @@ std::string RequestTraceJson(const RequestTrace& trace) {
   out += trace.is_http ? "http" : "binary";
   out += "\"";
   if (!trace.peer.empty()) {
-    out += ",\"peer\":\"";
-    AppendEscaped(&out, trace.peer);
-    out += "\"";
+    out += ",\"peer\":";
+    AppendJsonString(&out, trace.peer);
   }
   if (!trace.query.empty()) {
-    out += ",\"query\":\"";
-    AppendEscaped(&out, trace.query);
-    out += "\"";
+    out += ",\"query\":";
+    AppendJsonString(&out, trace.query);
   }
   out += ",\"code\":" + std::to_string(trace.code);
   out += ",\"sampled\":";
@@ -165,15 +130,12 @@ std::string RequestTraceJson(const RequestTrace& trace) {
     }
     out += "]";
   }
-  if (!trace.notes.empty()) {
-    out += ",\"notes\":[";
-    for (size_t i = 0; i < trace.notes.size(); ++i) {
-      if (i > 0) out += ",";
-      out += "\"";
-      AppendEscaped(&out, trace.notes[i]);
-      out += "\"";
-    }
-    out += "]";
+  if (!trace.root.empty()) {
+    out += ",\"trace\":";
+    NodeToJson(trace.root, /*with_times=*/true, /*indent=*/-1, &out);
+  }
+  if (trace.dropped_spans != 0) {
+    out += ",\"dropped_spans\":" + std::to_string(trace.dropped_spans);
   }
   out += "}";
   return out;
@@ -201,8 +163,12 @@ std::string RequestTraceText(const RequestTrace& trace) {
              std::to_string(s.elapsed_ns) + " ns\n";
     }
   }
-  for (const std::string& note : trace.notes) {
-    out += "  note: " + note + "\n";
+  if (!trace.root.empty()) {
+    out += "  trace:\n";
+    NodeToText(trace.root, /*with_times=*/true, /*indent=*/4, &out);
+  }
+  if (trace.dropped_spans != 0) {
+    out += "  dropped spans: " + std::to_string(trace.dropped_spans) + "\n";
   }
   return out;
 }
@@ -315,15 +281,6 @@ void FlightRecorder::Reset() {
   recent_.assign(kRecentSize, RequestTrace{});
   recent_next_ = 0;
 }
-
-ScopedRequestTrace::ScopedRequestTrace(RequestTrace* trace)
-    : saved_(t_trace) {
-  t_trace = trace;
-}
-
-ScopedRequestTrace::~ScopedRequestTrace() { t_trace = saved_; }
-
-RequestTrace* CurrentRequestTrace() { return t_trace; }
 
 }  // namespace obs
 }  // namespace xptc

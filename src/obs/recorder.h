@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.h"
+
 namespace xptc {
 namespace obs {
 
@@ -19,50 +21,6 @@ namespace obs {
 /// log (/debug/slow, /debug/trace/<id>), and always-on
 /// `server.phase.*_ns` histograms so tail attribution is answerable from
 /// /metrics alone.
-
-/// The serving phases of one request, in wire order. `kQueue` is
-/// admission→worker-pop; `kExec` is QueryService::Handle; `kFlush` is
-/// response-bytes-queued→last-byte-written-to-the-socket.
-enum class Phase : int {
-  kAccept = 0,  // bytes readable → parse start
-  kParse = 1,   // parse + translate of the complete message
-  kQueue = 2,   // admission push → worker pop (includes frozen workers)
-  kExec = 3,    // QueryService::Handle
-  kEncode = 4,  // response rendering (HTTP or frame)
-  kFlush = 5,   // response queued on the connection → flushed to the socket
-};
-inline constexpr int kNumPhases = 6;
-const char* PhaseName(Phase phase);
-
-/// One batch-pool task's contribution to a request: which (tree, query)
-/// cell ran, on which pool worker, when, for how long. The merged span
-/// list of a request accounts for every cell of its fan-out exactly once.
-struct WorkerSpan {
-  int worker = 0;       // batch-pool worker id (or server worker id)
-  int tree_id = 0;
-  int query_index = 0;
-  int64_t start_ns = 0;    // obs::NowNs clock
-  int64_t elapsed_ns = 0;
-};
-
-/// Everything the recorder keeps about one request. Built by the server
-/// for sampled requests (and for all requests while a completion log is
-/// installed), finalised when the last response byte reaches the socket.
-struct RequestTrace {
-  uint64_t id = 0;              // flight id (minted or client-supplied)
-  uint32_t wire_request_id = 0; // binary-protocol correlation id
-  bool sampled = false;
-  bool is_http = false;
-  std::string op;     // "query", "batch", "explain"
-  std::string peer;   // "ip:port" of the client socket
-  std::string query;  // first query text, truncated for bounded memory
-  uint8_t code = 0;   // RespCode of the response
-  int64_t start_ns = 0;  // first byte seen (obs::NowNs clock)
-  int64_t total_ns = 0;  // start → last response byte flushed
-  int64_t phase_ns[kNumPhases] = {0, 0, 0, 0, 0, 0};
-  std::vector<WorkerSpan> spans;    // batch fan-out (empty on fast paths)
-  std::vector<std::string> notes;   // dispatch decisions, deadline events
-};
 
 /// 16-digit lowercase hex, the wire spelling of a flight id.
 std::string FormatFlightId(uint64_t id);
@@ -141,8 +99,8 @@ class FlightRecorder {
 /// Per-pool-worker span buffers for one request's BatchEngine fan-out:
 /// each worker appends to its own vector with no synchronisation (the
 /// ParallelFor worker id is the index), and the caller merges after the
-/// pool barrier. This is what lifts trace.h's one-thread `QueryTrace`
-/// limitation for the serving path.
+/// pool barrier. This is what lifts the one-thread limit of a trace's
+/// span tree for the serving path.
 class BatchTraceSink {
  public:
   BatchTraceSink(uint64_t request_id, int num_workers)
@@ -164,21 +122,6 @@ class BatchTraceSink {
   uint64_t request_id_;
   std::vector<std::vector<WorkerSpan>> per_worker_;
 };
-
-/// The worker thread's active RequestTrace, visible to the service layer
-/// (exec attribution, batch-sink creation) without widening signatures.
-/// nullptr when the request is not being traced.
-class ScopedRequestTrace {
- public:
-  explicit ScopedRequestTrace(RequestTrace* trace);
-  ~ScopedRequestTrace();
-  ScopedRequestTrace(const ScopedRequestTrace&) = delete;
-  ScopedRequestTrace& operator=(const ScopedRequestTrace&) = delete;
-
- private:
-  RequestTrace* saved_;
-};
-RequestTrace* CurrentRequestTrace();
 
 }  // namespace obs
 }  // namespace xptc

@@ -4,12 +4,25 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/json.h"
+
 namespace xptc {
 namespace obs {
 
 namespace {
 
-thread_local TraceNode* g_current = nullptr;
+// The one per-thread request context. Plain pointers and an integer, so it
+// is constant-initialised (no TLS init guard on the hot path) and safe to
+// read from a signal handler.
+struct RequestContext {
+  uint64_t flight_id = 0;
+  RequestTrace* trace = nullptr;
+  // Where spans attach: nullptr unless a sampled trace is active, and inside
+  // a span the cap dropped.
+  TraceNode* node = nullptr;
+};
+
+thread_local RequestContext t_context;
 
 void AppendInt(std::string* out, int64_t v) {
   char buf[32];
@@ -17,64 +30,45 @@ void AppendInt(std::string* out, int64_t v) {
   out->append(buf);
 }
 
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
+}  // namespace
 
 void NodeToJson(const TraceNode& node, bool with_times, int indent,
                 std::string* out) {
-  std::string pad(static_cast<size_t>(indent), ' ');
-  out->append(pad).append("{\"name\": ");
+  const bool pretty = indent >= 0;
+  const char* colon = pretty ? ": " : ":";
+  const char* comma = pretty ? ", " : ",";
+  const std::string pad(pretty ? static_cast<size_t>(indent) : 0, ' ');
+  out->append(pad).append("{\"name\"").append(colon);
   AppendJsonString(out, node.name);
-  if (with_times) {
-    out->append(", \"elapsed_ns\": ");
+  if (with_times && node.elapsed_ns > 0) {
+    out->append(comma).append("\"elapsed_ns\"").append(colon);
     AppendInt(out, node.elapsed_ns);
   }
   if (!node.attrs.empty()) {
-    out->append(", \"attrs\": {");
-    bool first = true;
-    for (const auto& [key, v] : node.attrs) {
-      if (!first) out->append(", ");
-      first = false;
-      AppendJsonString(out, key);
-      out->append(": ");
-      AppendInt(out, v);
+    out->append(comma).append("\"attrs\"").append(colon).push_back('{');
+    for (size_t i = 0; i < node.attrs.size(); ++i) {
+      if (i > 0) out->append(comma);
+      AppendJsonString(out, node.attrs[i].first);
+      out->append(colon);
+      AppendInt(out, node.attrs[i].second);
     }
     out->push_back('}');
   }
   if (!node.notes.empty()) {
-    out->append(", \"notes\": [");
-    bool first = true;
-    for (const std::string& note : node.notes) {
-      if (!first) out->append(", ");
-      first = false;
-      AppendJsonString(out, note);
+    out->append(comma).append("\"notes\"").append(colon).push_back('[');
+    for (size_t i = 0; i < node.notes.size(); ++i) {
+      if (i > 0) out->append(comma);
+      AppendJsonString(out, node.notes[i]);
     }
     out->push_back(']');
   }
   if (!node.children.empty()) {
-    out->append(", \"children\": [\n");
+    out->append(comma).append("\"children\"").append(colon).push_back('[');
+    if (pretty) out->push_back('\n');
     for (size_t i = 0; i < node.children.size(); ++i) {
-      NodeToJson(*node.children[i], with_times, indent + 2, out);
+      NodeToJson(node.children[i], with_times, pretty ? indent + 2 : -1, out);
       if (i + 1 < node.children.size()) out->push_back(',');
-      out->push_back('\n');
+      if (pretty) out->push_back('\n');
     }
     out->append(pad).push_back(']');
   }
@@ -99,12 +93,10 @@ void NodeToText(const TraceNode& node, bool with_times, int indent,
     out->append(static_cast<size_t>(indent + 2), ' ');
     out->append("- ").append(note).push_back('\n');
   }
-  for (const auto& child : node.children) {
-    NodeToText(*child, with_times, indent + 2, out);
+  for (const TraceNode& child : node.children) {
+    NodeToText(child, with_times, indent + 2, out);
   }
 }
-
-}  // namespace
 
 void TraceNode::AddAttr(const std::string& key, int64_t delta) {
   for (auto& [k, v] : attrs) {
@@ -133,29 +125,38 @@ const int64_t* TraceNode::FindAttr(const std::string& key) const {
   return nullptr;
 }
 
-QueryTrace::QueryTrace() { root_.name = "query"; }
-QueryTrace::~QueryTrace() = default;
-
-QueryTrace::Scope::Scope(QueryTrace* trace) : saved_(g_current) {
-  g_current = &trace->root();
+const char* PhaseName(Phase phase) {
+  switch (phase) {
+    case Phase::kAccept: return "accept";
+    case Phase::kParse: return "parse";
+    case Phase::kQueue: return "queue";
+    case Phase::kExec: return "exec";
+    case Phase::kEncode: return "encode";
+    case Phase::kFlush: return "flush";
+  }
+  return "?";
 }
 
-QueryTrace::Scope::~Scope() { g_current = saved_; }
-
-TraceNode* QueryTrace::Current() { return g_current; }
-
-std::string QueryTrace::ToJson(bool with_times) const {
-  std::string out;
-  NodeToJson(root_, with_times, 0, &out);
-  out.push_back('\n');
-  return out;
+RequestScope::RequestScope(uint64_t flight_id, RequestTrace* trace)
+    : saved_id_(t_context.flight_id),
+      saved_trace_(t_context.trace),
+      saved_node_(t_context.node) {
+  t_context.flight_id = flight_id;
+  t_context.trace = trace;
+  t_context.node = trace != nullptr && trace->sampled ? &trace->root : nullptr;
 }
 
-std::string QueryTrace::ToText(bool with_times) const {
-  std::string out;
-  NodeToText(root_, with_times, 0, &out);
-  return out;
+RequestScope::~RequestScope() {
+  t_context.flight_id = saved_id_;
+  t_context.trace = saved_trace_;
+  t_context.node = saved_node_;
 }
+
+uint64_t CurrentFlightId() { return t_context.flight_id; }
+
+RequestTrace* CurrentRequestTrace() { return t_context.trace; }
+
+TraceNode* CurrentTraceNode() { return t_context.node; }
 
 int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -164,13 +165,20 @@ int64_t NowNs() {
 }
 
 TraceSpan::TraceSpan(const char* name, Histogram* flame) : flame_(flame) {
-  if (g_current != nullptr) {
-    saved_ = g_current;
-    auto child = std::make_unique<TraceNode>();
-    child->name = name;
-    node_ = child.get();
-    saved_->children.push_back(std::move(child));
-    g_current = node_;
+  RequestContext& ctx = t_context;
+  if (ctx.node != nullptr) {
+    saved_ = ctx.node;
+    RequestTrace& trace = *ctx.trace;
+    if (trace.span_nodes < kMaxTraceSpans) {
+      ++trace.span_nodes;
+      // Only the innermost open node's children grow, so the open spans'
+      // nodes (each the last child of its parent) never move.
+      node_ = &saved_->children.emplace_back();
+      node_->name = name;
+    } else {
+      ++trace.dropped_spans;  // what it would have held goes with it
+    }
+    ctx.node = node_;
   }
 #if XPTC_OBS
   if (node_ != nullptr || flame_ != nullptr) start_ns_ = NowNs();
@@ -185,7 +193,7 @@ TraceSpan::~TraceSpan() {
     if (flame_ != nullptr) flame_->Observe(elapsed);
   }
 #endif
-  if (node_ != nullptr) g_current = saved_;
+  if (saved_ != nullptr) t_context.node = saved_;
 }
 
 void TraceSpan::Attr(const char* key, int64_t v) {
@@ -201,11 +209,11 @@ void TraceSpan::Note(std::string note) {
 }
 
 void TraceAddCount(const char* key, int64_t delta) {
-  if (g_current != nullptr) g_current->AddAttr(key, delta);
+  if (TraceNode* node = t_context.node) node->AddAttr(key, delta);
 }
 
 void TraceNote(std::string note) {
-  if (g_current != nullptr) g_current->notes.push_back(std::move(note));
+  if (TraceNode* node = t_context.node) node->notes.push_back(std::move(note));
 }
 
 }  // namespace obs

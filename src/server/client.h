@@ -20,7 +20,7 @@ struct ClientHttpResponse {
 };
 
 /// Blocking TCP client for the query server — the test suites' loopback
-/// harness, the corpus-replay wire oracle, and the exp15 load generator's
+/// harness, the corpus-replay wire oracle, and exp17's load generator's
 /// per-connection handle. One socket, both protocols: binary frames via
 /// `Query`/`Batch`/`Ping`, HTTP via `Http`, and raw bytes via
 /// `SendRaw`/`ReadFrame`/`ReadHttpResponse` for malformed-input tests.

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/json.h"
 #include "obs/recorder.h"
 
 namespace xptc {
@@ -76,29 +77,6 @@ struct Reader {
 // trees costs nothing.
 bool PlausibleCount(const Reader& r, uint64_t count, size_t min_bytes_each) {
   return count <= r.remaining() / std::max<size_t>(min_bytes_each, 1);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 const char* ModeName(EvalMode mode) {
@@ -533,8 +511,8 @@ std::string RenderHttpResponse(const ServiceResponse& resp, bool keep_alive) {
   if (resp.code != RespCode::kOk) {
     const std::string body = "{\"error\":{\"code\":\"" +
                              std::string(RespCodeName(resp.code)) +
-                             "\",\"message\":\"" + JsonEscape(resp.payload) +
-                             "\"}}\n";
+                             "\",\"message\":" + JsonString(resp.payload) +
+                             "}}\n";
     return BuildHttpResponse(status, "application/json", body, keep_alive,
                              extra);
   }

@@ -294,12 +294,12 @@ void QueryServer::WorkerLoop(int worker) {
     ServiceResponse resp;
     int64_t exec_end_ns;
     {
-      // TLS plumbing for the duration of Handle: the service layer picks
-      // the trace up for batch fan-out spans and dispatch notes, and every
-      // journal record inside (deadline probes, batch tasks) attributes to
-      // this flight id without widening any signature.
-      obs::ScopedRequestTrace scoped_trace(trace);
-      obs::Journal::ScopedRequestId scoped_id(flight_id);
+      // The request context for the duration of Handle: the engine's spans,
+      // counts and notes land in the trace, the service adds the batch
+      // fan-out's worker spans, and every journal record inside (deadline
+      // probes, batch tasks) attributes to this flight id without widening
+      // any signature.
+      obs::RequestScope scope(flight_id, trace);
       obs::Journal::Record(obs::JournalCode::kWorkerPop,
                            static_cast<uint64_t>(queue_ns), 0, start_ns);
       obs::Journal::Record(obs::JournalCode::kExecStart,
@@ -488,7 +488,8 @@ void QueryServer::CloseConnection(Connection* conn) {
       if (p.trace != nullptr) {
         p.trace->phase_ns[static_cast<int>(obs::Phase::kFlush)] = flush_ns;
         p.trace->total_ns = now - p.trace->start_ns;
-        p.trace->notes.push_back("connection closed before flush completed");
+        p.trace->root.notes.push_back(
+            "connection closed before flush completed");
         recorder.Record(std::move(*p.trace));
       }
     }
@@ -786,7 +787,7 @@ void QueryServer::DrainCompletions() {
       // client that gave up) — finalise it without a flush phase.
       if (c.trace != nullptr) {
         c.trace->total_ns = NowNs() - c.trace->start_ns;
-        c.trace->notes.push_back("connection died before response flush");
+        c.trace->root.notes.push_back("connection died before response flush");
         obs::FlightRecorder::Get().Record(std::move(*c.trace));
       }
       continue;

@@ -222,9 +222,7 @@ ServiceResponse QueryService::Handle(const ServiceRequest& req, int worker,
     obs::Journal::Record(
         obs::JournalCode::kDeadlineQueue,
         static_cast<uint64_t>(exec::ExecEngine::SteadyNowNs() - deadline_ns));
-    if (obs::RequestTrace* trace = obs::CurrentRequestTrace()) {
-      trace->notes.push_back("deadline expired while queued");
-    }
+    obs::TraceNote("deadline expired while queued");
     return ErrorResponse(req, RespCode::kDeadlineExceeded,
                          "deadline expired while queued");
   }
@@ -307,12 +305,6 @@ ServiceResponse QueryService::HandleQuery(const ServiceRequest& req,
     if (obs::RequestTrace* trace = obs::CurrentRequestTrace()) {
       trace->spans.push_back(obs::WorkerSpan{
           worker, t, 0, eval_start_ns, obs::NowNs() - eval_start_ns});
-      trace->notes.push_back(
-          std::string("dispatch: ") +
-          exec::ExecEngine::DispatchName(engine->last_run().dispatch) +
-          ", star_rounds " +
-          std::to_string(engine->last_run().star_rounds_used) + ", instrs " +
-          std::to_string(engine->last_run().instrs_executed));
     }
     if (engine->last_run().deadline_expired) {
       Metrics().deadline_exceeded.Inc();

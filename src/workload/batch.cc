@@ -99,12 +99,13 @@ std::vector<std::vector<Bitset>> BatchEngine::RunCompiledOnTrees(
   tasks_.Add(num_t * num_q);
   EnsureEngineRows();
   std::atomic<bool> expired{false};
+  const uint64_t flight_id = obs::CurrentFlightId();
   pool_->ParallelFor(num_t * num_q, [&](int task, int worker) {
-    obs::TraceSpan span("batch.task", &TaskFlame());
     // Attributes journal events fired inside the engine (deadline probes)
-    // to the request this fan-out belongs to, across pool threads.
-    obs::Journal::ScopedRequestId journal_id(
-        trace_sink != nullptr ? trace_sink->request_id() : 0);
+    // to the request this fan-out belongs to, across pool threads. No span
+    // tree: a task's record in the request trace is its WorkerSpan.
+    obs::RequestScope scope(flight_id, nullptr);
+    obs::TraceSpan span("batch.task", &TaskFlame());
     const int ti = task / num_q;
     const int q = task % num_q;
     const int t = tree_indices[static_cast<size_t>(ti)];

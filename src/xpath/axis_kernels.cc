@@ -4,12 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 
-#include "common/check.h"
 #include "common/simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -20,39 +17,22 @@ namespace axis {
 
 namespace {
 
-Mode EnvMode() {
-  static const Mode mode = [] {
-    const char* env = std::getenv("XPTC_AXIS_MODE");
-    if (env == nullptr || env[0] == '\0' || std::strcmp(env, "auto") == 0) {
-      return Mode::kAuto;
-    }
-    if (std::strcmp(env, "sparse") == 0) return Mode::kSparse;
-    if (std::strcmp(env, "dense") == 0) return Mode::kDense;
-    if (std::strcmp(env, "interval") == 0) return Mode::kInterval;
-    XPTC_CHECK(false) << "unsupported XPTC_AXIS_MODE '" << env
-                      << "' (valid: auto, sparse, dense, interval)";
-    return Mode::kAuto;
-  }();
-  return mode;
-}
-
-std::atomic<int> g_mode_override{-1};
+std::atomic<int> g_mode{static_cast<int>(Mode::kAuto)};
 
 std::atomic<bool> g_closure_collapse{true};
 
 }  // namespace
 
 Mode ActiveMode() {
-  const int forced = g_mode_override.load(std::memory_order_relaxed);
-  return forced < 0 ? EnvMode() : static_cast<Mode>(forced);
+  return static_cast<Mode>(g_mode.load(std::memory_order_relaxed));
 }
 
 void SetModeForTesting(Mode mode) {
-  g_mode_override.store(static_cast<int>(mode), std::memory_order_relaxed);
+  g_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
 }
 
 void ResetModeForTesting() {
-  g_mode_override.store(-1, std::memory_order_relaxed);
+  g_mode.store(static_cast<int>(Mode::kAuto), std::memory_order_relaxed);
 }
 
 bool ClosureCollapseEnabled() {
@@ -101,7 +81,7 @@ void RecordDispatch(Axis axis, bool dense) {
   AxisMetrics& m = AxisMetrics::Get();
   const int a = static_cast<int>(axis);
   (dense ? m.dense : m.sparse)[a]->Inc();
-  if (obs::QueryTrace::Current() != nullptr) {
+  if (obs::CurrentTraceNode() != nullptr) {
     obs::TraceAddCount((dense ? m.dense_name : m.sparse_name)[a].c_str(), 1);
   }
 }

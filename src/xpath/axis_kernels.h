@@ -55,8 +55,7 @@ namespace axis {
 /// unit tests cover both paths deterministically. `kInterval` forces the
 /// interval/streamed closure kernels (descendant range-union, ancestor
 /// backward sweep, sibling chain passes) while keeping child/parent on the
-/// sparse chase. The `XPTC_AXIS_MODE` environment variable
-/// (`auto` | `sparse` | `dense` | `interval`) picks the startup default.
+/// sparse chase.
 enum class Mode : int {
   kAuto = 0,
   kSparse = 1,
@@ -71,7 +70,7 @@ Mode ActiveMode();
 /// `simd::SetLevelForTesting`).
 void SetModeForTesting(Mode mode);
 
-/// Reverts `SetModeForTesting` to the environment/default policy.
+/// Reverts `SetModeForTesting` to `kAuto`.
 void ResetModeForTesting();
 
 /// Default crossover: auto dispatch takes the dense path when

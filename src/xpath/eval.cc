@@ -118,7 +118,7 @@ void Evaluator::AxisImageInto(Axis axis, const Bitset& sources,
   xptc::AxisImageInto(tree_, axis, sources, lo_, hi_, out);
   // Per-axis-kernel node touches (image size), keyed by axis. The count is
   // O(window/64) and only paid while a trace is active on this thread.
-  if (obs::TraceNode* cur = obs::QueryTrace::Current()) {
+  if (obs::TraceNode* cur = obs::CurrentTraceNode()) {
     cur->AddAttr(std::string("axis.") + AxisToString(axis) + ".touches",
                  out->CountRange(lo_, hi_));
   }

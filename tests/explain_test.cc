@@ -9,6 +9,8 @@
 #include <string>
 
 #include "obs/explain.h"
+#include "obs/trace.h"
+#include "test_util.h"
 
 namespace xptc {
 namespace obs {
@@ -89,6 +91,22 @@ TEST(ExplainTest, JsonModeCarriesTheSameMachineViews) {
   EXPECT_NE(r.find(explained->trace_json), std::string::npos);
 }
 
+TEST(ExplainTest, JsonOutputEscapesControlCharactersInTheQuery) {
+  // Newline and tab are whitespace to the parser, so the query runs; the
+  // JSON dump must still be one valid object, with both characters
+  // escaped inside "query" rather than written raw.
+  ExplainOptions options;
+  options.query = "a\nand\tb";
+  options.gen_nodes = 16;
+  options.json = true;
+  auto explained = ExplainQuery(options);
+  ASSERT_TRUE(explained.ok()) << explained.status().message();
+  const std::string& r = explained->rendered;
+  EXPECT_TRUE(testing_util::JsonChecker::Valid(r)) << r;
+  EXPECT_NE(r.find("\"query\": \"a\\nand\\tb\""), std::string::npos) << r;
+  EXPECT_TRUE(testing_util::JsonChecker::Valid(explained->trace_json));
+}
+
 TEST(ExplainTest, FusedAndNotRendersWithExecCounts) {
   // `a and not b` lowers to label, label, andnot — the `not` fuses into
   // the conjunction and is never emitted on its own.
@@ -118,6 +136,25 @@ TEST(ExplainTest, StarHeavyQueryKeepsTraceAndRegistryConsistent) {
   ASSERT_TRUE(explained.ok()) << explained.status().message();
   EXPECT_TRUE(explained->match);
   EXPECT_TRUE(explained->consistent) << explained->rendered;
+}
+
+TEST(ExplainTest, TruncatedTraceIsReportedInconsistent) {
+  // One eval.w_compute span per distinct non-downward W body: past the
+  // span cap the counts inside dropped spans are lost, and EXPLAIN says so
+  // instead of reconciling an incomplete trace.
+  ExplainOptions options = GoldenOptions();
+  options.query.clear();
+  for (int i = 0; i < kMaxTraceSpans; ++i) {
+    if (i > 0) options.query += " or ";
+    options.query += "W(<anc[w" + std::to_string(i) + "]>)";
+  }
+  auto explained = ExplainQuery(options);
+  ASSERT_TRUE(explained.ok()) << explained.status().message();
+  EXPECT_TRUE(explained->match);
+  EXPECT_FALSE(explained->consistent);
+  EXPECT_NE(explained->rendered.find("spans dropped past the 64-span cap"),
+            std::string::npos)
+      << explained->rendered;
 }
 
 TEST(ExplainTest, RejectsUnknownShapeAndBadQuery) {

@@ -145,7 +145,7 @@ TEST(RequestTraceTest, JsonCarriesPhasesSpansAndNotes) {
   RequestTrace trace = MakeTrace(0xabc, 6000);
   trace.phase_ns[static_cast<int>(Phase::kExec)] = 4000;
   trace.spans.push_back(WorkerSpan{2, 1, 0, 10, 500});
-  trace.notes.push_back("dispatch: register_machine");
+  trace.root.notes.push_back("dispatch: register_machine");
   const std::string json = RequestTraceJson(trace);
   EXPECT_NE(json.find("\"id\":\"" + FormatFlightId(0xabc) + "\""),
             std::string::npos);
@@ -164,7 +164,7 @@ TEST(JournalTest, RecordsRoundTripThroughDump) {
   Journal::Record(JournalCode::kMark, 41, Journal::kNoRequest);
   Journal::Record(JournalCode::kMark, 42, 0x1234);
   {
-    Journal::ScopedRequestId scope(0x5678);
+    RequestScope scope(0x5678, nullptr);
     Journal::Record(JournalCode::kMark, 43);  // picks up the scoped id
   }
   Journal::Record(JournalCode::kMark, 44);  // scope restored: id 0
@@ -239,7 +239,7 @@ TEST(JournalTest, ThreadsGetTheirOwnRingsAndOrderSurvivesConcurrency) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t, &done] {
-      Journal::ScopedRequestId scope(0x100 + static_cast<uint64_t>(t));
+      RequestScope scope(0x100 + static_cast<uint64_t>(t), nullptr);
       for (uint64_t i = 0; i < kEach; ++i) {
         Journal::Record(JournalCode::kMark, i);
       }

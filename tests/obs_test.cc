@@ -476,13 +476,14 @@ TEST(TraceTest, SpansRecordNothingWithoutAnActiveTrace) {
   span.Attr("ignored", 1);
   TraceAddCount("ignored", 1);
   TraceNote("ignored");
-  EXPECT_EQ(QueryTrace::Current(), nullptr);
+  EXPECT_EQ(CurrentRequestTrace(), nullptr);
 }
 
 TEST(TraceTest, NestedSpansBuildTheTree) {
-  QueryTrace trace;
+  RequestTrace trace;
+  trace.sampled = true;
   {
-    QueryTrace::Scope scope(&trace);
+    RequestScope scope(1, &trace);
     {
       TraceSpan outer("parse");
       outer.Attr("instrs", 4);
@@ -494,47 +495,112 @@ TEST(TraceTest, NestedSpansBuildTheTree) {
     TraceSpan sibling("exec");
     sibling.Attr("rounds", 1);
   }
-  EXPECT_EQ(QueryTrace::Current(), nullptr);  // scope restored
-  const TraceNode& root = trace.root();
+  EXPECT_EQ(CurrentRequestTrace(), nullptr);  // scope restored
+  const TraceNode& root = trace.root;
   ASSERT_EQ(root.children.size(), 2u);
-  const TraceNode& parse = *root.children[0];
+  const TraceNode& parse = root.children[0];
   EXPECT_EQ(parse.name, "parse");
   ASSERT_EQ(parse.children.size(), 1u);
-  EXPECT_EQ(parse.children[0]->name, "lower");
-  ASSERT_EQ(parse.children[0]->attrs.size(), 1u);
-  EXPECT_EQ(parse.children[0]->attrs[0].second, 5);  // 2 + 3 accumulated
-  EXPECT_EQ(parse.children[0]->notes.front(), "cold");
-  EXPECT_EQ(root.children[1]->name, "exec");
+  EXPECT_EQ(parse.children[0].name, "lower");
+  ASSERT_EQ(parse.children[0].attrs.size(), 1u);
+  EXPECT_EQ(parse.children[0].attrs[0].second, 5);  // 2 + 3 accumulated
+  EXPECT_EQ(parse.children[0].notes.front(), "cold");
+  EXPECT_EQ(root.children[1].name, "exec");
 }
 
 TEST(TraceTest, ScopesAreReentrant) {
-  QueryTrace outer_trace, inner_trace;
-  QueryTrace::Scope outer(&outer_trace);
-  EXPECT_EQ(QueryTrace::Current(), &outer_trace.root());
+  RequestTrace outer_trace, inner_trace;
+  RequestScope outer(1, &outer_trace);
+  EXPECT_EQ(CurrentRequestTrace(), &outer_trace);
   {
-    QueryTrace::Scope inner(&inner_trace);
-    EXPECT_EQ(QueryTrace::Current(), &inner_trace.root());
+    RequestScope inner(2, &inner_trace);
+    EXPECT_EQ(CurrentRequestTrace(), &inner_trace);
   }
-  EXPECT_EQ(QueryTrace::Current(), &outer_trace.root());
+  EXPECT_EQ(CurrentRequestTrace(), &outer_trace);
 }
 
 TEST(TraceTest, TextAndJsonRenderingsAreDeterministic) {
-  QueryTrace trace;
+  RequestTrace trace;
+  trace.sampled = true;
   {
-    QueryTrace::Scope scope(&trace);
+    RequestScope scope(1, &trace);
     TraceSpan span("exec.eval");
     span.Attr("instrs_executed", 7);
     span.Note("dispatch: register_machine");
   }
-  EXPECT_EQ(trace.ToText(),
+  std::string text, json, line;
+  NodeToText(trace.root, /*with_times=*/false, 0, &text);
+  NodeToJson(trace.root, /*with_times=*/false, 0, &json);
+  NodeToJson(trace.root, /*with_times=*/false, -1, &line);
+  EXPECT_EQ(text,
             "query\n"
             "  exec.eval instrs_executed=7\n"
             "    - dispatch: register_machine\n");
-  EXPECT_EQ(trace.ToJson(),
+  EXPECT_EQ(json + "\n",
             "{\"name\": \"query\", \"children\": [\n"
             "  {\"name\": \"exec.eval\", \"attrs\": {\"instrs_executed\": 7},"
             " \"notes\": [\"dispatch: register_machine\"]}\n"
             "]}\n");
+  // The one-line form (/debug, structured log) is the same tree, compact.
+  EXPECT_EQ(line,
+            "{\"name\":\"query\",\"children\":[{\"name\":\"exec.eval\","
+            "\"attrs\":{\"instrs_executed\":7},"
+            "\"notes\":[\"dispatch: register_machine\"]}]}");
+}
+
+TEST(TraceTest, SpanCapKeepsTheFirstSpansAndCountsTheRest) {
+  RequestTrace trace;
+  trace.sampled = true;
+  {
+    RequestScope scope(1, &trace);
+    TraceSpan a("a");
+    for (int i = 0; i < kMaxTraceSpans - 2; ++i) TraceSpan filler("filler");
+    {
+      TraceSpan last("last");  // the cap-th node
+      TraceSpan d("d");        // dropped with everything inside it
+      TraceNote("lost");
+      TraceAddCount("lost", 1);
+      { TraceSpan e("e"); }
+    }
+    TraceNote("kept");  // back on `a` once the dropped span closed
+  }
+  EXPECT_EQ(trace.span_nodes, kMaxTraceSpans);
+  EXPECT_EQ(trace.dropped_spans, 1);  // d; e went with it
+  ASSERT_EQ(trace.root.children.size(), 1u);
+  const TraceNode& a = trace.root.children[0];
+  ASSERT_EQ(a.children.size(), static_cast<size_t>(kMaxTraceSpans - 1));
+  EXPECT_EQ(a.children.back().name, "last");
+  EXPECT_TRUE(a.children.back().empty());  // d's note and count discarded
+  EXPECT_EQ(a.notes, std::vector<std::string>{"kept"});
+}
+
+TEST(TraceTest, ScopeCarriesTheFlightIdWithOrWithoutATrace) {
+  EXPECT_EQ(CurrentFlightId(), 0u);
+  {
+    RequestScope untraced(0x77, nullptr);
+    EXPECT_EQ(CurrentFlightId(), 0x77u);
+    EXPECT_EQ(CurrentTraceNode(), nullptr);
+    TraceSpan span("orphan");
+    EXPECT_FALSE(span.recording());
+  }
+  EXPECT_EQ(CurrentFlightId(), 0u);
+}
+
+TEST(TraceTest, UnsampledTraceIsCurrentButRecordsNoSpans) {
+  // A trace built only for the completion log: the service still finds it
+  // (worker spans), but the engine's span sites stay off.
+  RequestTrace trace;
+  {
+    RequestScope scope(0x78, &trace);
+    EXPECT_EQ(CurrentRequestTrace(), &trace);
+    EXPECT_EQ(CurrentTraceNode(), nullptr);
+    TraceSpan span("exec.eval");
+    EXPECT_FALSE(span.recording());
+    TraceNote("ignored");
+  }
+  EXPECT_TRUE(trace.root.empty());
+  EXPECT_EQ(trace.span_nodes, 0);
+  EXPECT_EQ(trace.dropped_spans, 0);
 }
 
 TEST(TraceTest, FlameHistogramObservedEvenWithoutTrace) {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "server/service.h"
+#include "test_util.h"
 #include "tree/xml.h"
 #include "workload/plan_cache.h"
 
@@ -554,6 +556,83 @@ TEST(ServerTest, HttpXRequestIdEchoesAndResolvesAtDebugTrace) {
   auto missing = client.Http("GET", "/debug/trace/ffffffffffffffff");
   ASSERT_TRUE(missing.ok()) << missing.status().ToString();
   EXPECT_EQ(missing->status, 404);
+}
+
+/// Occurrences of `needle` in `haystack`.
+int CountOf(std::string_view haystack, std::string_view needle) {
+  int n = 0;
+  for (size_t at = haystack.find(needle); at != std::string_view::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+/// Span nodes below `node`.
+int CountSpans(const obs::TraceNode& node) {
+  int n = 0;
+  for (const obs::TraceNode& child : node.children) n += 1 + CountSpans(child);
+  return n;
+}
+
+TEST(ServerTest, DebugTraceCarriesTheEngineSpanTree) {
+  RecorderGuard guard;
+  obs::FlightRecorder::Get().SetSampleEveryN(1);
+  Loopback loop;
+  BlockingClient client = loop.Connect();
+
+  // One tree: the single-tree fast path evaluates on the worker thread,
+  // inside the request's scope, so the engine's own span and notes land
+  // in the recorded trace.
+  auto resp = client.Http("POST", "/query?trees=0&mode=count", "<desc[c]>",
+                          true, "X-Request-Id: 5ca1ab1e\r\n");
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_EQ(resp->status, 200);
+
+  auto trace = client.Http("GET", "/debug/trace/5ca1ab1e");
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  ASSERT_EQ(trace->status, 200);
+  const std::string& body = trace->body;
+  EXPECT_TRUE(testing_util::JsonChecker::Valid(body)) << body;
+  EXPECT_EQ(CountOf(body, "\"name\":\"exec.eval\""), 1) << body;
+  // One dispatch decision, written once by the engine (no second copy).
+  EXPECT_EQ(CountOf(body, "\"dispatch: "), 1) << body;
+  EXPECT_NE(body.find("\"plan_cache: "), std::string::npos) << body;
+  EXPECT_NE(body.find("\"star_rounds_used\":"), std::string::npos) << body;
+  EXPECT_EQ(body.find("dropped_spans"), std::string::npos) << body;
+}
+
+TEST(ServerTest, SampledTraceKeepsAtMostTheSpanCap) {
+  RecorderGuard guard;
+  obs::FlightRecorder::Get().SetSampleEveryN(1);
+  Loopback loop;
+  BlockingClient client = loop.Connect();
+
+  // Distinct non-downward W bodies each miss every cache and open one
+  // eval.w_compute span under exec.eval: more spans than the cap allows.
+  constexpr int kBodies = obs::kMaxTraceSpans + 6;
+  std::string query;
+  for (int i = 0; i < kBodies; ++i) {
+    if (i > 0) query += " or ";
+    query += "W(<anc[w" + std::to_string(i) + "]>)";
+  }
+  auto resp = client.Query(query, {0}, EvalMode::kCount, 0,
+                           server::kDialectXPath, 0xcab5ULL);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_EQ(resp->code, RespCode::kOk);
+  ASSERT_TRUE(client.Ping().ok());  // fence: the trace is recorded
+
+  obs::RequestTrace trace;
+  ASSERT_TRUE(obs::FlightRecorder::Get().Lookup(0xcab5ULL, &trace));
+  EXPECT_EQ(trace.span_nodes, obs::kMaxTraceSpans);
+  EXPECT_EQ(CountSpans(trace.root), obs::kMaxTraceSpans);
+  // exec.eval plus one span per body were opened; the cap kept the first.
+  EXPECT_EQ(trace.dropped_spans, kBodies + 1 - obs::kMaxTraceSpans);
+  const std::string json = obs::RequestTraceJson(trace);
+  EXPECT_TRUE(testing_util::JsonChecker::Valid(json)) << json;
+  EXPECT_NE(json.find("\"dropped_spans\":" +
+                      std::to_string(kBodies + 1 - obs::kMaxTraceSpans)),
+            std::string::npos);
 }
 
 TEST(ServerTest, BinaryTraceFieldRoundTrips) {

@@ -1,7 +1,7 @@
 // EXPLAIN driver over the observability layer (src/obs/): runs one Regular
 // XPath(W) query through the full serving pipeline — PlanCache parse +
-// lowering, hybrid compiled execution, interpreter cross-check — under an
-// active QueryTrace, and renders the annotated plan dump: per-instruction
+// lowering, hybrid compiled execution, interpreter cross-check — under one
+// traced RequestScope, and renders the annotated plan dump: per-instruction
 // execution counts, the dispatch decision (register machine vs. one-pass
 // downward sweep, with the star-round budget that triggered a fallback),
 // star fixpoint rounds, per-axis-kernel node touches, and cache-hit
