@@ -1,4 +1,4 @@
-// E11 — Throughput layer: work-stealing BatchEngine, hash-consed PlanCache,
+// E11 — Throughput layer: work-stealing BatchEngine, PlanCache,
 // and per-tree cross-query memoisation (TreeCache).
 //
 // Unlike E2–E9 this experiment measures no claim from the paper; it
@@ -46,7 +46,7 @@ namespace xptc {
 namespace {
 
 // A serving-style workload: duplicate texts (plan-cache hits), shared W
-// bodies across distinct queries (TreeCache + interner hits), and a spread
+// bodies across distinct queries (structural TreeCache hits), and a spread
 // of cheap label tests next to W-heavy queries (uneven task costs, which
 // is what work stealing is for). The surviving W bodies use non-downward
 // axes (foll/right) so `W φ ≡ φ` cannot rewrite them away; a few downward

@@ -49,8 +49,9 @@ struct ExecMetrics {
   obs::Counter& disp_downward;
   obs::Counter& disp_general;
   obs::Counter& deadline_expired;
-  // `W` provenance (L1 = the engine's memo, L2 = the shared TreeCache,
-  // computed = paid the bottom-up pass), read by EXPLAIN and the serving
+  // `W` provenance (L1 = the local memo of an engine without a TreeCache,
+  // L2 = the shared TreeCache, computed = paid the bottom-up pass; an
+  // engine uses one memo or the other), read by EXPLAIN and the serving
   // benchmark under their historical `eval.` names.
   obs::Counter& within_l1_hits;
   obs::Counter& within_l2_hits;
@@ -263,31 +264,28 @@ const Bitset& ExecEngine::LabelSet(Symbol label) {
 }
 
 const Bitset* ExecEngine::FindWithin(const WithinBody& body) {
-  auto it = within_l1_.find(body.body.get());
-  if (it != within_l1_.end()) {
-    ExecMetrics::Get().within_l1_hits.Inc();
-    obs::TraceAddCount("w.l1_hits", 1);
-    return it->second;
+  if (tree_cache_ != nullptr) {
+    // The per-tree cross-query cache, shared with other workers. A hit
+    // means some earlier evaluation — possibly of a different query on a
+    // different thread — already paid for this body on this tree.
+    const Bitset* set = tree_cache_->FindWithin(*body.body, body.hash);
+    if (set != nullptr) {
+      ExecMetrics::Get().within_l2_hits.Inc();
+      obs::TraceAddCount("w.l2_hits", 1);
+      obs::TraceNote("W: tree_cache (L2) hit");
+    }
+    return set;
   }
-  // L2: the per-tree cross-query cache, shared with other workers. A hit
-  // means some earlier evaluation — possibly of a different query on a
-  // different thread — already paid for this body on this tree.
-  if (tree_cache_ == nullptr) return nullptr;
-  const Bitset* set = tree_cache_->FindWithin(*body.body);
-  if (set != nullptr) {
-    ExecMetrics::Get().within_l2_hits.Inc();
-    obs::TraceAddCount("w.l2_hits", 1);
-    obs::TraceNote("W: tree_cache (L2) hit");
+  auto it = local_within_.find(body.hash);
+  if (it == local_within_.end()) return nullptr;
+  for (const LocalWithin& entry : it->second) {
+    if (NodeEquals(*entry.body, *body.body)) {
+      ExecMetrics::Get().within_l1_hits.Inc();
+      obs::TraceAddCount("w.l1_hits", 1);
+      return &entry.set;
+    }
   }
-  return set;
-}
-
-void ExecEngine::RememberWithin(const WithinBody& body, int w,
-                                const Bitset* set) {
-  if (within_l1_.emplace(body.body.get(), set).second) {
-    within_pins_.push_back(body.body);
-  }
-  within_sets_[static_cast<size_t>(w)] = set;
+  return nullptr;
 }
 
 bool ExecEngine::ResolveWithin(const Program& program, int w) {
@@ -304,7 +302,7 @@ bool ExecEngine::ResolveWithin(const Program& program, int w) {
     if (!within_probed_[slot]) {
       within_probed_[slot] = 1;
       if (const Bitset* set = FindWithin(body)) {
-        RememberWithin(body, top, set);
+        within_sets_[slot] = set;
         within_stack_.pop_back();
         continue;
       }
@@ -369,11 +367,13 @@ bool ExecEngine::ComputeWithin(const Program& program, int w) {
   const Bitset* set;
   if (tree_cache_ != nullptr) {
     // Racing computers of the same body converge on the first insert.
-    set = &tree_cache_->StoreWithin(body.body, std::move(wset));
+    set = &tree_cache_->StoreWithin(body.body, body.hash, std::move(wset));
   } else {
-    set = &local_within_.emplace_back(std::move(wset));
+    set = &local_within_[body.hash]
+               .emplace_back(LocalWithin{body.body, std::move(wset)})
+               .set;
   }
-  RememberWithin(body, w, set);
+  within_sets_[static_cast<size_t>(w)] = set;
   return true;
 }
 

@@ -27,7 +27,10 @@ namespace exec {
 ///
 /// `W φ` is computed here too: φ's sub-program runs bottom-up over every
 /// subtree window [v, SubtreeEnd(v)) (see ComputeWithin), and the result
-/// is memoised in an engine-local L1 in front of the attached `TreeCache`.
+/// is memoised per tree: in the attached `TreeCache` when there is one
+/// (no engine-local layer in front of it), else in an engine-local memo.
+/// Both are keyed structurally by the body hash the program stored at
+/// compile time, so two plans that share a body share its set.
 ///
 /// Optionally attaches a `TreeCache`, which shares the label index and the
 /// memoised `W` results across queries and worker threads. An ExecEngine is
@@ -134,18 +137,17 @@ class ExecEngine {
   const Bitset& LabelSet(Symbol label);
 
   /// Makes `within_sets_[w]` point at the `W` set of body `w` of
-  /// `program`: from the L1, else the TreeCache, else computed — inner
-  /// bodies first, on an explicit stack. False iff the deadline fired.
+  /// `program`: from the per-tree memo, else computed — inner bodies
+  /// first, on an explicit stack. False iff the deadline fired.
   bool ResolveWithin(const Program& program, int w);
-  /// Looks body `w` up in the L1, then the TreeCache; null on a miss.
+  /// Looks `body` up in the TreeCache if attached, else in the local memo;
+  /// null on a miss.
   const Bitset* FindWithin(const WithinBody& body);
   /// The bottom-up pass: runs the body's sub-program on the spare bank
   /// over each window [v, SubtreeEnd(v)), v = n-1 … 0. Its inner bodies
   /// must already be resolved. False (nothing stored) iff the deadline
   /// fired.
   bool ComputeWithin(const Program& program, int w);
-  /// Records a resolved set in the L1 (pinning its body) and for this run.
-  void RememberWithin(const WithinBody& body, int w, const Bitset* set);
 
   /// Resets `last_run_` for a fresh evaluation of `program`, then (on
   /// completion) `FinishRun` publishes the per-run totals to the registry
@@ -183,12 +185,14 @@ class ExecEngine {
   std::unordered_map<Symbol, const Bitset*> label_refs_;
   std::unordered_map<Symbol, Bitset> local_labels_;
   std::vector<uint64_t> agg_;  // downward sweep child-aggregate buffer
-  // W memo, L1: canonical body → set (in local_within_ or the TreeCache).
-  // Bodies are pinned so a pointer key cannot be reused by a freed and
-  // reallocated expression while the engine lives.
-  std::unordered_map<const NodeExpr*, const Bitset*> within_l1_;
-  std::vector<NodePtr> within_pins_;
-  std::deque<Bitset> local_within_;  // deque: stable element addresses
+  // W memo of an engine without a TreeCache: body hash → the structurally
+  // distinct bodies with that hash (pinned) and their sets. Deques keep
+  // element addresses stable across growth.
+  struct LocalWithin {
+    NodePtr body;
+    Bitset set;
+  };
+  std::unordered_map<size_t, std::deque<LocalWithin>> local_within_;
   // Per run, indexed like the program's within_bodies(): the resolved set
   // (null until resolved), whether the caches were already probed, and
   // ResolveWithin's explicit stack.

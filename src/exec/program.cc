@@ -524,7 +524,7 @@ std::shared_ptr<Program> Program::Lower(const NodePtr& plan,
         if (it != table->index.end()) return it->second;
         // Inner bodies are lowered (and numbered) before this one.
         std::shared_ptr<const Program> sub = Lower(body, table);
-        WithinBody entry{body, sub, {}};
+        WithinBody entry{body, NodeHash(*body), sub, {}};
         for (const Instr& ins : sub->code()) {
           if (ins.op == Op::kWithin) entry.deps.push_back(ins.within);
         }
@@ -550,8 +550,7 @@ std::shared_ptr<Program> Program::Lower(const NodePtr& plan,
 std::shared_ptr<const Program> Program::Compile(const NodePtr& query) {
   XPTC_CHECK(query != nullptr);
   // A private interner: collapses repeated subexpressions of *this* query.
-  // (PlanCache additionally shares canonical plans — and thus programs —
-  // across the whole workload.)
+  // Programs are shared across queries by PlanCache's structural index.
   ExprInterner interner;
   WithinTable table;
   std::shared_ptr<Program> program = Lower(interner.Intern(query), &table);

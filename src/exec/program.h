@@ -62,11 +62,15 @@ struct Instr {
 
 class Program;
 
-/// One distinct canonical `W` body, lowered to a program of its own. Its
+/// One distinct `W` body of a plan, lowered to a program of its own. Its
 /// kWithin instructions index the same root table as the top-level code's,
 /// always at smaller indices (`deps`): bodies are listed in post-order.
+/// `hash` is `NodeHash(*body)`, taken once at compile time: it keys the
+/// engines' `W` memos (the per-tree `TreeCache` and the engine-local one),
+/// so a lookup hashes nothing.
 struct WithinBody {
-  NodePtr body;                            // canonical body expression
+  NodePtr body;                            // interned body expression
+  size_t hash = 0;                         // NodeHash(*body)
   std::shared_ptr<const Program> program;  // runs the body over one T|v
   std::vector<int> deps;  // the bodies its kWithin instructions read
 };
@@ -84,9 +88,12 @@ struct CompileStats {
 /// A compiled query plan: the result of lowering a `NodeExpr` DAG into a
 /// flat, topologically ordered instruction sequence over bitset registers.
 ///
-///  - The expression is hash-consed first (a private `ExprInterner`), so
-///    every structurally distinct subexpression — even when the source AST
-///    repeats it — is computed by exactly one instruction.
+///  - The expression is hash-consed first by a private, per-call interner
+///    (xpath/intern.h; the only interner in the system), so every
+///    structurally distinct subexpression — even when the source AST
+///    repeats it — is computed by exactly one instruction. Nothing is
+///    interned across plans: `PlanCache` shares programs between texts by
+///    a structural key on `plan()`.
 ///  - Two fixed rules shape the code as it is emitted: a `not ψ` operand of
 ///    `and`/`or` (or of a filter) fuses into kAndNot/kOrNot over ψ's
 ///    register, so a kNot appears only when its value is read as such; and
@@ -122,7 +129,8 @@ class Program {
   const CompileStats& stats() const { return stats_; }
 
   /// The hash-consed plan; pins every expression referenced by kWithin
-  /// instructions and serves as the cache identity in `PlanCache`.
+  /// instructions. Its structure (NodeHash/NodeEquals) is the program's
+  /// identity in `PlanCache`.
   const NodePtr& plan() const { return plan_; }
 
   /// The distinct `W` bodies of the plan, inner bodies first; kWithin

@@ -91,9 +91,8 @@ bool TraceMatchesRegistry(const RequestTrace& trace, const Snapshot& delta,
       {"eval.within_l2_hits", "w.l2_hits", nullptr},
       {"eval.within_computed", "w.computed", nullptr},
       {"plan_cache.hits", nullptr, "plan_cache: text hit"},
-      {"plan_cache.misses", nullptr, "plan_cache: text miss, parsed + interned"},
-      {"plan_cache.program_hits", nullptr,
-       "plan_cache: program hit (canonical root)"},
+      {"plan_cache.misses", nullptr, "plan_cache: text miss, parsed"},
+      {"plan_cache.program_hits", nullptr, "plan_cache: program hit"},
       {"plan_cache.program_misses", nullptr, "plan_cache: program miss, lowered"},
   };
   bool ok = true;

@@ -204,16 +204,16 @@ void TraceSpan::AddAttr(const char* key, int64_t delta) {
   if (node_ != nullptr) node_->AddAttr(key, delta);
 }
 
-void TraceSpan::Note(std::string note) {
-  if (node_ != nullptr) node_->notes.push_back(std::move(note));
+void TraceSpan::Note(std::string_view note) {
+  if (node_ != nullptr) node_->notes.emplace_back(note);
 }
 
 void TraceAddCount(const char* key, int64_t delta) {
   if (TraceNode* node = t_context.node) node->AddAttr(key, delta);
 }
 
-void TraceNote(std::string note) {
-  if (TraceNode* node = t_context.node) node->notes.push_back(std::move(note));
+void TraceNote(std::string_view note) {
+  if (TraceNode* node = t_context.node) node->notes.emplace_back(note);
 }
 
 }  // namespace obs

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -155,7 +156,7 @@ class TraceSpan {
   /// No-ops when this span is not recording (no active trace).
   void Attr(const char* key, int64_t v);
   void AddAttr(const char* key, int64_t delta);
-  void Note(std::string note);
+  void Note(std::string_view note);
   bool recording() const { return node_ != nullptr; }
 
  private:
@@ -172,8 +173,11 @@ class TraceSpan {
 /// that are too hot or too far from the span object to hold a TraceSpan —
 /// per-axis-kernel node touches, per-instruction execution counts.
 void TraceAddCount(const char* key, int64_t delta);
-/// Appends a note to the current trace node, if any.
-void TraceNote(std::string note);
+/// Appends a note to the current trace node, if any. With no sampled
+/// trace active this is one TLS load + branch and builds nothing; a caller
+/// that assembles its note (concatenation, formatting) should check
+/// `CurrentTraceNode()` first.
+void TraceNote(std::string_view note);
 
 /// Monotonic clock in nanoseconds. Always available (the bench harness
 /// uses it); XPTC_OBS only controls whether *span* destructors read it.

@@ -767,7 +767,8 @@ void QueryServer::RespondInline(Connection* conn, std::string bytes,
                                 bool close_after) {
   Metrics::Get().inline_responses.Inc();
   const uint64_t seq = conn->next_seq++;
-  conn->ready[seq] = Connection::Slot{std::move(bytes), close_after};
+  conn->ready[seq] =
+      Connection::Slot{std::move(bytes), close_after, 0, nullptr};
   FlushReady(conn);
 }
 

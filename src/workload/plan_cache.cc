@@ -79,8 +79,14 @@ void PlanCache::Purge(const Alphabet* alphabet) {
       ++it;
     }
   }
-  interners_.erase(alphabet);
   programs_.erase(alphabet);
+}
+
+size_t PlanCache::program_slots() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t count = 0;
+  for (const auto& [alphabet, index] : programs_) count += index.slots.size();
+  return count;
 }
 
 PlanCache::LruList::iterator PlanCache::Touch(LruList::iterator it) {
@@ -98,21 +104,46 @@ void PlanCache::InsertLocked(Entry entry) {
   }
 }
 
-ExprInterner& PlanCache::InternerLocked(const Alphabet* alphabet) {
-  std::unique_ptr<ExprInterner>& slot = interners_[alphabet];
-  if (slot == nullptr) slot = std::make_unique<ExprInterner>();
-  return *slot;
-}
-
-std::shared_ptr<const exec::Program> PlanCache::ProgramHitLocked(
-    const Alphabet* alphabet, const NodeExpr* root) {
+std::shared_ptr<const exec::Program> PlanCache::FindProgramLocked(
+    const Alphabet* alphabet, const NodePtr& plan, size_t hash) {
   auto per_alphabet = programs_.find(alphabet);
   if (per_alphabet == programs_.end()) return nullptr;
-  auto it = per_alphabet->second.slots.find(root);
-  if (it == per_alphabet->second.slots.end()) return nullptr;
-  std::shared_ptr<const exec::Program> program = it->second.program.lock();
-  if (program != nullptr) program_hits_.Inc();
-  return program;
+  auto [it, end] = per_alphabet->second.slots.equal_range(hash);
+  for (; it != end; ++it) {
+    std::shared_ptr<const exec::Program> program = it->second.lock();
+    if (program == nullptr) continue;
+    const NodePtr& compiled = program->plan();
+    if (compiled == plan || NodeEquals(*compiled, *plan)) return program;
+  }
+  return nullptr;
+}
+
+void PlanCache::InsertProgramLocked(
+    const Alphabet* alphabet, size_t hash,
+    const std::shared_ptr<const exec::Program>& program) {
+  ProgramIndex& index =
+      programs_.try_emplace(alphabet, ProgramIndex{{}, 2 * capacity_})
+          .first->second;
+  auto [it, end] = index.slots.equal_range(hash);
+  for (; it != end; ++it) {
+    if (it->second.expired()) {
+      it->second = program;
+      return;
+    }
+  }
+  // Lazy sweep. The LRU holds at most `capacity` programs, so a sweep at
+  // twice the capacity frees at least a quarter of the index unless
+  // callers hold many programs past their eviction; then the next sweep
+  // waits until the index has doubled. Either way sweeps cost amortised
+  // O(1) per miss.
+  if (index.slots.size() >= index.next_sweep) {
+    std::erase_if(index.slots,
+                  [](const auto& slot) { return slot.second.expired(); });
+    const size_t live = index.slots.size();
+    index.next_sweep =
+        live <= capacity_ + capacity_ / 2 ? 2 * capacity_ : 2 * live;
+  }
+  index.slots.emplace(hash, program);
 }
 
 void PlanCache::AttachProgramLocked(
@@ -121,10 +152,8 @@ void PlanCache::AttachProgramLocked(
   if (it != index_.end()) it->second->program = std::move(program);
 }
 
-Result<std::shared_ptr<const Query>> PlanCache::Parse(const std::string& text,
-                                                      Alphabet* alphabet,
-                                                      bool optimize) {
-  Key key{alphabet, optimize, NormaliseText(text)};
+Result<PlanCache::CompiledQuery> PlanCache::Lookup(const Key& key,
+                                                   Alphabet* alphabet) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
@@ -132,7 +161,7 @@ Result<std::shared_ptr<const Query>> PlanCache::Parse(const std::string& text,
       hits_.Inc();
       obs::TraceNote("plan_cache: text hit");
       it->second = Touch(it->second);
-      return it->second->query;
+      return CompiledQuery{it->second->query, it->second->program};
     }
   }
   // Parse and simplify outside the cache lock (the expensive part; only
@@ -144,7 +173,9 @@ Result<std::shared_ptr<const Query>> PlanCache::Parse(const std::string& text,
     std::lock_guard<std::mutex> lock(alphabet_mu_);
     XPTC_ASSIGN_OR_RETURN(parsed, ParseNode(key.text, alphabet));
   }
-  NodePtr optimized = optimize ? SimplifyNode(parsed) : parsed;
+  NodePtr plan = key.optimize ? SimplifyNode(parsed) : parsed;
+  auto query = std::shared_ptr<const Query>(
+      new Query(std::move(parsed), std::move(plan)));
 
   std::lock_guard<std::mutex> lock(mu_);
   auto raced = index_.find(key);
@@ -153,63 +184,64 @@ Result<std::shared_ptr<const Query>> PlanCache::Parse(const std::string& text,
     // entry, discard our redundant (but equivalent) parse.
     hits_.Inc();
     raced->second = Touch(raced->second);
-    return raced->second->query;
+    return CompiledQuery{raced->second->query, raced->second->program};
   }
   misses_.Inc();
-  obs::TraceNote("plan_cache: text miss, parsed + interned");
-  ExprInterner& interner = InternerLocked(alphabet);
-  NodePtr original = interner.Intern(parsed);
-  NodePtr plan = interner.Intern(optimized);
-  auto query = std::shared_ptr<const Query>(
-      new Query(std::move(original), std::move(plan)));
-  InsertLocked(Entry{std::move(key), query, nullptr});
-  return query;
+  obs::TraceNote("plan_cache: text miss, parsed");
+  InsertLocked(Entry{key, query, nullptr});
+  return CompiledQuery{std::move(query), nullptr};
+}
+
+Result<std::shared_ptr<const Query>> PlanCache::Parse(const std::string& text,
+                                                      Alphabet* alphabet,
+                                                      bool optimize) {
+  XPTC_ASSIGN_OR_RETURN(CompiledQuery out,
+                        Lookup(Key{alphabet, optimize, NormaliseText(text)},
+                               alphabet));
+  return std::move(out.query);
 }
 
 Result<PlanCache::CompiledQuery> PlanCache::ParseCompiled(
     const std::string& text, Alphabet* alphabet, bool optimize) {
-  CompiledQuery out;
-  XPTC_ASSIGN_OR_RETURN(out.query, Parse(text, alphabet, optimize));
   const Key key{alphabet, optimize, NormaliseText(text)};
-  const NodeExpr* root = out.query->plan().get();
+  XPTC_ASSIGN_OR_RETURN(CompiledQuery out, Lookup(key, alphabet));
+  if (out.program != nullptr) {
+    // A text hit whose entry already carries its program.
+    program_hits_.Inc();
+    obs::TraceNote("plan_cache: program hit");
+    return out;
+  }
+  // Hashed once, outside the lock; the index compares structure only
+  // within one hash chain.
+  const NodePtr& plan = out.query->plan();
+  const size_t hash = NodeHash(*plan);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    out.program = ProgramHitLocked(alphabet, root);
+    out.program = FindProgramLocked(alphabet, plan, hash);
     if (out.program != nullptr) {
-      obs::TraceNote("plan_cache: program hit (canonical root)");
+      program_hits_.Inc();
+      obs::TraceNote("plan_cache: program hit");
       AttachProgramLocked(key, out.program);
       return out;
     }
   }
   // Lower outside the lock (the expensive part), then re-check: when two
-  // threads race to compile the same root, the first insert wins and the
+  // threads race to compile the same plan, the first insert wins and the
   // loser's redundant (but equivalent) program is discarded.
   const int64_t lower_start_ns = obs::NowNs();
-  std::shared_ptr<const exec::Program> program =
-      exec::Program::Compile(out.query->plan());
+  std::shared_ptr<const exec::Program> program = exec::Program::Compile(plan);
   const int64_t lower_ns = obs::NowNs() - lower_start_ns;
 
   std::lock_guard<std::mutex> lock(mu_);
-  out.program = ProgramHitLocked(alphabet, root);
-  if (out.program == nullptr) {
+  out.program = FindProgramLocked(alphabet, plan, hash);
+  if (out.program != nullptr) {
+    program_hits_.Inc();
+    obs::TraceNote("plan_cache: program hit");
+  } else {
     program_misses_.Inc();
     lowering_ns_.Add(lower_ns);
     obs::TraceNote("plan_cache: program miss, lowered");
-    ProgramIndex& per_alphabet =
-        programs_.try_emplace(alphabet, ProgramIndex{{}, capacity_})
-            .first->second;
-    // Lazy sweep: expired slots release their canonical-root pins, so plans
-    // evicted from the LRU are not pinned here forever. Live slots stay
-    // near capacity once the LRU is full, so the sweep waits until the
-    // index has doubled since the last one — amortised O(1) per miss.
-    if (per_alphabet.slots.size() >= per_alphabet.next_sweep) {
-      std::erase_if(per_alphabet.slots, [](const auto& slot) {
-        return slot.second.program.expired();
-      });
-      per_alphabet.next_sweep =
-          std::max(capacity_, 2 * per_alphabet.slots.size());
-    }
-    per_alphabet.slots[root] = ProgramSlot{out.query->plan(), program};
+    InsertProgramLocked(alphabet, hash, program);
     out.program = std::move(program);
   }
   AttachProgramLocked(key, out.program);

@@ -13,11 +13,11 @@
 #include "exec/program.h"
 #include "obs/metrics.h"
 #include "xpath/engine.h"
-#include "xpath/intern.h"
 
 namespace xptc {
 
-/// Thread-safe LRU cache of parsed, simplified, hash-consed query plans.
+/// Thread-safe LRU cache of parsed, simplified query plans and their
+/// compiled programs.
 ///
 /// A serving workload re-parses the same query texts endlessly; a cache hit
 /// turns `Query::Parse` (lexing + parsing + simplifier fixpoint) into one
@@ -25,21 +25,24 @@ namespace xptc {
 /// optimize flag) — normalisation is surrounding-whitespace stripping, so
 /// `" <child[a]> "` and `"<child[a]>"` share a plan. The stored `Query` is
 /// immutable and handed out by shared_ptr, safe to evaluate concurrently
-/// from any number of workers.
+/// from any number of workers. Dialects are classified per the engine
+/// policy (plan dialect + source dialect) and come along with the cached
+/// `Query`.
 ///
-/// Every plan that enters the cache is routed through one `ExprInterner`
-/// per alphabet (hash-consing): structurally identical subexpressions
-/// *across different queries* collapse onto pointer-identical AST nodes,
-/// so pointer-keyed memos — the programs indexed by canonical root below
-/// and each engine's `W` L1 — hit across the whole workload, not just
-/// within one query. Dialects are classified per the engine policy (plan
-/// dialect + source dialect) and come along with the cached `Query`.
+/// Compiled programs are shared *structurally*: a per-alphabet index maps
+/// `NodeHash(plan)` to the plans already lowered, matched with `NodeEquals`,
+/// so two different texts that simplify to the same plan lower once (the
+/// second is a program hit although it was a text miss). No interning is
+/// shared between plans — each `Program::Compile` interns its own plan
+/// privately, and the per-tree `W` memo (`TreeCache`) keys bodies
+/// structurally too — so a miss does no work under the cache lock beyond
+/// the index lookups and inserts.
 ///
 /// Parse *errors* are not cached; they return through `Result` as usual.
 ///
 /// Thread-safety: every method may be called concurrently. A miss takes
-/// the cache lock only for the index lookup, the interning and the insert;
-/// parsing, simplification and lowering run outside it, so cold compiles
+/// the cache lock only for the index lookups and inserts; parsing,
+/// simplification, hashing and lowering run outside it, so cold compiles
 /// on different threads overlap; a hit takes it once. The one step that
 /// mutates the caller's `Alphabet` — the parser interning a new label — is
 /// serialised on a second mutex the cache owns (`LockAlphabets`); any
@@ -51,8 +54,7 @@ namespace xptc {
 /// with `Purge(alphabet)` *before* it is destroyed. Without the purge, a new
 /// alphabet allocated at a recycled address would alias the dead one's key
 /// and hit plans whose Symbols were minted by the dead alphabet; the purge
-/// also reclaims the per-alphabet interner, which otherwise lives for the
-/// cache's lifetime.
+/// also drops the alphabet's program index.
 class PlanCache {
  public:
   /// A point-in-time read of the cache's obs counters (see the `plan_cache.*`
@@ -62,9 +64,9 @@ class PlanCache {
     size_t misses = 0;
     size_t evictions = 0;
     // Compiled-program counters (`ParseCompiled` only). Programs are keyed
-    // by the *canonical plan root*, so two different texts whose plans
-    // hash-cons to the same root share one lowering: the second is a
-    // program hit even though it was a text miss.
+    // by plan structure, so two different texts whose plans are equal
+    // share one lowering: the second is a program hit even though it was
+    // a text miss.
     size_t program_hits = 0;
     size_t program_misses = 0;   // == number of lowering runs
     double lowering_seconds = 0; // total wall time inside Program::Compile
@@ -90,16 +92,17 @@ class PlanCache {
                                              bool optimize = true);
 
   /// `Parse` plus a compiled bytecode program for the plan (the compiled
-  /// execution backend's entry point). Programs are cached keyed by the
-  /// canonical (hash-consed) plan root, so texts that simplify to the same
-  /// plan compile once; lowering runs outside the cache lock. The strong
-  /// program reference rides on the LRU entry: eviction releases
-  /// it, but handed-out `CompiledQuery`s keep theirs alive (shared_ptr).
+  /// execution backend's entry point). Programs are cached keyed by plan
+  /// structure, so texts that simplify to the same plan compile once;
+  /// lowering runs outside the cache lock. The strong program reference
+  /// rides on the LRU entry, so a text hit returns its program with no
+  /// further lookup; eviction releases it, but handed-out `CompiledQuery`s
+  /// keep theirs alive (shared_ptr).
   Result<CompiledQuery> ParseCompiled(const std::string& text,
                                       Alphabet* alphabet,
                                       bool optimize = true);
 
-  /// Drops every cached plan and the interner belonging to `alphabet`.
+  /// Drops every cached plan and program belonging to `alphabet`.
   /// Call before destroying an alphabet the cache has seen (see class
   /// comment). Plans already handed out stay valid (shared_ptr).
   void Purge(const Alphabet* alphabet);
@@ -116,6 +119,9 @@ class PlanCache {
   size_t capacity() const { return capacity_; }
   size_t size() const;
   Stats stats() const;
+  /// Slots in the program index over all alphabets, expired ones included
+  /// (tests and reports).
+  size_t program_slots() const;
 
  private:
   struct Key {
@@ -142,33 +148,38 @@ class PlanCache {
 
   using LruList = std::list<Entry>;
 
-  /// One slot of the by-canonical-root program index. `plan` pins the
-  /// canonical root NodePtr so the raw-pointer key can never be recycled
-  /// by the interner's sweep while the slot exists; `program` is weak so a
-  /// program's lifetime is governed by LRU entries and handed-out
-  /// CompiledQuerys, not by this index. Expired slots are swept lazily
-  /// (see `ProgramIndex`).
-  struct ProgramSlot {
-    NodePtr plan;
-    std::weak_ptr<const exec::Program> program;
-  };
-  /// One alphabet's program slots. Expired slots are swept when the map
-  /// reaches `next_sweep` — twice its size after the previous sweep, and
-  /// at least the cache capacity — so sweeps cost amortised O(1) per miss
-  /// even while the live slots sit at capacity.
+  /// One alphabet's compiled programs, keyed by `NodeHash(plan)`, at most
+  /// one live program per distinct plan structure. A slot holds its
+  /// program weakly — a program's lifetime is governed by LRU entries and
+  /// handed-out CompiledQuerys, not by this index — and matches on the
+  /// program's own `plan()`, so an expired slot pins no expression.
+  /// Expired slots are reused within their hash chain, and swept when the
+  /// map reaches `next_sweep`: twice the cache capacity, or twice the live
+  /// slots when callers hold far more programs than the LRU does — so the
+  /// index stays within twice the capacity in steady serving, and sweeps
+  /// cost amortised O(1) per miss.
   struct ProgramIndex {
-    std::unordered_map<const NodeExpr*, ProgramSlot> slots;
+    std::unordered_multimap<size_t, std::weak_ptr<const exec::Program>> slots;
     size_t next_sweep;
   };
 
+  /// Looks `key` up; on a miss parses, simplifies and inserts it. Returns
+  /// the entry's query and the program attached to it (null if none yet).
+  Result<CompiledQuery> Lookup(const Key& key, Alphabet* alphabet);
   /// Moves a hit to the front; inserts + evicts on miss. Caller holds mu_.
   LruList::iterator Touch(LruList::iterator it);
   void InsertLocked(Entry entry);
-  ExprInterner& InternerLocked(const Alphabet* alphabet);
 
-  /// Looks up a live program for `root` under mu_; also records a hit.
-  std::shared_ptr<const exec::Program> ProgramHitLocked(
-      const Alphabet* alphabet, const NodeExpr* root);
+  /// The live program compiled from a plan equal to `plan` (`hash` =
+  /// NodeHash(*plan)) under `alphabet`, or null. Caller holds mu_.
+  std::shared_ptr<const exec::Program> FindProgramLocked(
+      const Alphabet* alphabet, const NodePtr& plan, size_t hash);
+  /// Indexes `program` under `hash`, in an expired slot of its hash chain
+  /// if there is one, else in a new slot after a sweep if one is due.
+  /// Caller holds mu_.
+  void InsertProgramLocked(
+      const Alphabet* alphabet, size_t hash,
+      const std::shared_ptr<const exec::Program>& program);
   /// Attaches `program` to the LRU entry for `key`, if resident.
   void AttachProgramLocked(const Key& key,
                            std::shared_ptr<const exec::Program> program);
@@ -179,12 +190,9 @@ class PlanCache {
   mutable std::mutex alphabet_mu_;
   LruList lru_;  // front = most recently used
   std::unordered_map<Key, LruList::iterator, KeyHash> index_;
-  // One interner per alphabet: symbols from different alphabets must never
-  // be conflated even when structurally equal.
-  std::unordered_map<const Alphabet*, std::unique_ptr<ExprInterner>>
-      interners_;
-  // Compiled programs keyed (alphabet, canonical plan root). Per-alphabet
-  // because canonical pointers are per-interner; purged with the alphabet.
+  // Compiled programs keyed (alphabet, plan structure). Per-alphabet:
+  // symbols from different alphabets must never be conflated even when
+  // structurally equal. Purged with the alphabet.
   std::unordered_map<const Alphabet*, ProgramIndex> programs_;
   // Per-instance obs counters (`stats()` stays correct with many caches in
   // one process); a registry collector sums them across instances under

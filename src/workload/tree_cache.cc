@@ -51,8 +51,8 @@ const Bitset& TreeCache::LabelSet(Symbol label) {
   return shard.labels.emplace(label, std::move(set)).first->second;
 }
 
-const Bitset* TreeCache::FindWithin(const NodeExpr& body) {
-  const size_t hash = NodeHash(body);
+const Bitset* TreeCache::FindWithin(const NodeExpr& body, size_t hash) {
+  XPTC_DCHECK(hash == NodeHash(body));
   Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.within.find(hash);
@@ -70,10 +70,11 @@ const Bitset* TreeCache::FindWithin(const NodeExpr& body) {
   return nullptr;
 }
 
-const Bitset& TreeCache::StoreWithin(const NodePtr& body, Bitset wset) {
+const Bitset& TreeCache::StoreWithin(const NodePtr& body, size_t hash,
+                                     Bitset wset) {
   XPTC_CHECK(body != nullptr);
   XPTC_DCHECK(wset.size() == tree_->size());
-  const size_t hash = NodeHash(*body);
+  XPTC_DCHECK(hash == NodeHash(*body));
   Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
   std::deque<WithinEntry>& chain = shard.within[hash];

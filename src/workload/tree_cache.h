@@ -33,9 +33,15 @@ namespace xptc {
 /// wasted cycles, never wrong answers.
 ///
 /// `W` results are keyed *structurally* (NodeHash/NodeEquals), not by
-/// pointer, so memoisation works across queries even when plans were not
-/// hash-consed through one `ExprInterner`; each entry pins its body
-/// expression via `NodePtr` so keys can never dangle.
+/// pointer: every plan is interned privately when it is compiled, so two
+/// queries that share a body hold two structurally equal copies, and both
+/// hit the one entry. This is the only `W` memo in front of the bottom-up
+/// pass for engines attached to the tree — an engine keeps no L1 of its
+/// own. Callers pass the body's `NodeHash`, computed once when the program
+/// was compiled (`exec::WithinBody::hash`), so a lookup hashes nothing and
+/// compares structure only within one hash chain (a pointer-equal body
+/// matches at once). Each entry pins its body expression via `NodePtr` so
+/// keys can never dangle.
 class TreeCache {
  public:
   explicit TreeCache(std::shared_ptr<const Tree> tree);
@@ -57,12 +63,14 @@ class TreeCache {
   const Bitset& LabelSet(Symbol label);
 
   /// The memoised `W`-body result for `body`, or nullptr if not yet stored.
-  const Bitset* FindWithin(const NodeExpr& body);
+  /// `hash` must be `NodeHash(body)`.
+  const Bitset* FindWithin(const NodeExpr& body, size_t hash);
 
   /// Stores `wset` as the result for `body` (pinning `body`); returns the
-  /// canonical entry — the previously stored one if another thread won the
-  /// race, else the one just inserted.
-  const Bitset& StoreWithin(const NodePtr& body, Bitset wset);
+  /// entry that ends up stored — the previously stored one if another
+  /// thread won the race, else the one just inserted. `hash` must be
+  /// `NodeHash(*body)`.
+  const Bitset& StoreWithin(const NodePtr& body, size_t hash, Bitset wset);
 
   /// Stats (tests and reports).
   size_t within_entries() const;

@@ -161,49 +161,76 @@ namespace {
 // Explicit-stack teardown shared by both expression destructors. Each
 // popped pointer whose refcount we hold exclusively has its children moved
 // onto the worklist first, so its own destructor (which runs as the local
-// shared_ptr drops) finds only null links — constant stack depth however
-// deep the expression. Shared subexpressions (use_count > 1) are left to
-// their last owner, which restarts the same drain.
-struct TeardownQueue {
-  std::vector<PathPtr> paths;
-  std::vector<NodePtr> nodes;
-
+// shared_ptr drops) finds only null links and returns at once — constant
+// stack depth however deep the expression. Shared subexpressions
+// (use_count > 1) are left to their last owner, which restarts the same
+// drain. The worklist lives on the destructor's stack: an inline buffer
+// holds the pending subexpressions (a depth-first drain keeps about one
+// per level of a balanced expression, two along a chain), and only an
+// unusually wide and deep expression spills to the heap.
+class TeardownQueue {
+ public:
   void TakeFrom(PathExpr* e) {
-    if (e->left) paths.push_back(std::move(e->left));
-    if (e->right) paths.push_back(std::move(e->right));
-    if (e->pred) nodes.push_back(std::move(e->pred));
+    if (e->left) Push({std::move(e->left), nullptr});
+    if (e->right) Push({std::move(e->right), nullptr});
+    if (e->pred) Push({nullptr, std::move(e->pred)});
   }
   void TakeFrom(NodeExpr* e) {
-    if (e->left) nodes.push_back(std::move(e->left));
-    if (e->right) nodes.push_back(std::move(e->right));
-    if (e->path) paths.push_back(std::move(e->path));
+    if (e->left) Push({nullptr, std::move(e->left)});
+    if (e->right) Push({nullptr, std::move(e->right)});
+    if (e->path) Push({std::move(e->path), nullptr});
   }
   void Drain() {
-    while (!paths.empty() || !nodes.empty()) {
-      if (!paths.empty()) {
-        PathPtr p = std::move(paths.back());
-        paths.pop_back();
-        // Sole owner: safe to strip children (the object is dying now, and
-        // Make* never produces a const object, so the cast is legal).
-        if (p.use_count() == 1) TakeFrom(const_cast<PathExpr*>(p.get()));
+    while (size_ > 0 || !spill_.empty()) {
+      Pending top;
+      if (!spill_.empty()) {
+        top = std::move(spill_.back());
+        spill_.pop_back();
       } else {
-        NodePtr n = std::move(nodes.back());
-        nodes.pop_back();
-        if (n.use_count() == 1) TakeFrom(const_cast<NodeExpr*>(n.get()));
+        top = std::move(inline_[--size_]);
+      }
+      // Sole owner: safe to strip children (the object is dying now, and
+      // Make* never produces a const object, so the cast is legal).
+      if (top.path != nullptr && top.path.use_count() == 1) {
+        TakeFrom(const_cast<PathExpr*>(top.path.get()));
+      } else if (top.node != nullptr && top.node.use_count() == 1) {
+        TakeFrom(const_cast<NodeExpr*>(top.node.get()));
       }
     }
   }
+
+ private:
+  // Exactly one of the two is set.
+  struct Pending {
+    PathPtr path;
+    NodePtr node;
+  };
+  static constexpr int kInline = 16;
+
+  void Push(Pending p) {
+    if (size_ < kInline && spill_.empty()) {
+      inline_[size_++] = std::move(p);
+    } else {
+      spill_.push_back(std::move(p));
+    }
+  }
+
+  Pending inline_[kInline];
+  int size_ = 0;
+  std::vector<Pending> spill_;
 };
 
 }  // namespace
 
 PathExpr::~PathExpr() {
+  if (!left && !right && !pred) return;
   TeardownQueue q;
   q.TakeFrom(this);
   q.Drain();
 }
 
 NodeExpr::~NodeExpr() {
+  if (!left && !right && !path) return;
   TeardownQueue q;
   q.TakeFrom(this);
   q.Drain();
@@ -384,6 +411,7 @@ int NodeWithinDepth(const NodeExpr& node) {
 }
 
 bool PathEquals(const PathExpr& a, const PathExpr& b) {
+  if (&a == &b) return true;
   if (a.op != b.op) return false;
   switch (a.op) {
     case PathOp::kAxis:
@@ -400,6 +428,7 @@ bool PathEquals(const PathExpr& a, const PathExpr& b) {
 }
 
 bool NodeEquals(const NodeExpr& a, const NodeExpr& b) {
+  if (&a == &b) return true;
   if (a.op != b.op) return false;
   switch (a.op) {
     case NodeOp::kLabel:

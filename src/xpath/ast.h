@@ -148,7 +148,8 @@ int NodeSize(const NodeExpr& node);
 int PathWithinDepth(const PathExpr& path);
 int NodeWithinDepth(const NodeExpr& node);
 
-/// Structural equality (labels compared by symbol).
+/// Structural equality (labels compared by symbol). Shared subexpressions
+/// compare in O(1): a pointer-equal pair is equal without a walk.
 bool PathEquals(const PathExpr& a, const PathExpr& b);
 bool NodeEquals(const NodeExpr& a, const NodeExpr& b);
 

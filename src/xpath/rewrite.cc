@@ -1,5 +1,7 @@
 #include "xpath/rewrite.h"
 
+#include <utility>
+
 #include "common/check.h"
 #include "xpath/fragment.h"
 
@@ -195,52 +197,71 @@ NodePtr SimplifyNodeTop(NodePtr node) {
 PathPtr SimplifyPathRec(const PathPtr& path);
 NodePtr SimplifyNodeRec(const NodePtr& node);
 
+// The recursive passes are copy-on-change: a node is rebuilt only when one
+// of its children came back as a different object, so an already-simple
+// subexpression is returned as is and a fixpoint pass allocates nothing.
 PathPtr SimplifyPathRec(const PathPtr& path) {
-  PathPtr out;
+  PathPtr out = path;
   switch (path->op) {
     case PathOp::kAxis:
-      out = path;
       break;
     case PathOp::kSeq:
-      out = MakeSeq(SimplifyPathRec(path->left), SimplifyPathRec(path->right));
+    case PathOp::kUnion: {
+      PathPtr l = SimplifyPathRec(path->left);
+      PathPtr r = SimplifyPathRec(path->right);
+      if (l != path->left || r != path->right) {
+        out = path->op == PathOp::kSeq ? MakeSeq(std::move(l), std::move(r))
+                                       : MakeUnion(std::move(l), std::move(r));
+      }
       break;
-    case PathOp::kUnion:
-      out =
-          MakeUnion(SimplifyPathRec(path->left), SimplifyPathRec(path->right));
+    }
+    case PathOp::kFilter: {
+      PathPtr l = SimplifyPathRec(path->left);
+      NodePtr pred = SimplifyNodeRec(path->pred);
+      if (l != path->left || pred != path->pred) {
+        out = MakeFilter(std::move(l), std::move(pred));
+      }
       break;
-    case PathOp::kFilter:
-      out = MakeFilter(SimplifyPathRec(path->left),
-                       SimplifyNodeRec(path->pred));
+    }
+    case PathOp::kStar: {
+      PathPtr l = SimplifyPathRec(path->left);
+      if (l != path->left) out = MakeStar(std::move(l));
       break;
-    case PathOp::kStar:
-      out = MakeStar(SimplifyPathRec(path->left));
-      break;
+    }
   }
   return SimplifyPathTop(std::move(out));
 }
 
 NodePtr SimplifyNodeRec(const NodePtr& node) {
-  NodePtr out;
+  NodePtr out = node;
   switch (node->op) {
     case NodeOp::kLabel:
     case NodeOp::kTrue:
-      out = node;
       break;
     case NodeOp::kNot:
-      out = MakeNot(SimplifyNodeRec(node->left));
+    case NodeOp::kWithin: {
+      NodePtr l = SimplifyNodeRec(node->left);
+      if (l != node->left) {
+        out = node->op == NodeOp::kNot ? MakeNot(std::move(l))
+                                       : MakeWithin(std::move(l));
+      }
       break;
+    }
     case NodeOp::kAnd:
-      out = MakeAnd(SimplifyNodeRec(node->left), SimplifyNodeRec(node->right));
+    case NodeOp::kOr: {
+      NodePtr l = SimplifyNodeRec(node->left);
+      NodePtr r = SimplifyNodeRec(node->right);
+      if (l != node->left || r != node->right) {
+        out = node->op == NodeOp::kAnd ? MakeAnd(std::move(l), std::move(r))
+                                       : MakeOr(std::move(l), std::move(r));
+      }
       break;
-    case NodeOp::kOr:
-      out = MakeOr(SimplifyNodeRec(node->left), SimplifyNodeRec(node->right));
+    }
+    case NodeOp::kSome: {
+      PathPtr p = SimplifyPathRec(node->path);
+      if (p != node->path) out = MakeSome(std::move(p));
       break;
-    case NodeOp::kSome:
-      out = MakeSome(SimplifyPathRec(node->path));
-      break;
-    case NodeOp::kWithin:
-      out = MakeWithin(SimplifyNodeRec(node->left));
-      break;
+    }
   }
   return SimplifyNodeTop(std::move(out));
 }
@@ -254,7 +275,8 @@ PathPtr SimplifyPath(const PathPtr& path) {
   // the iteration cap guards against rule-interaction cycles.
   for (int i = 0; i < 8; ++i) {
     PathPtr next = SimplifyPathRec(current);
-    if (PathEquals(*next, *current)) return next;
+    // Copy-on-change makes an unchanged pass return its input.
+    if (next == current || PathEquals(*next, *current)) return next;
     current = std::move(next);
   }
   return current;
@@ -265,7 +287,7 @@ NodePtr SimplifyNode(const NodePtr& node) {
   NodePtr current = node;
   for (int i = 0; i < 8; ++i) {
     NodePtr next = SimplifyNodeRec(current);
-    if (NodeEquals(*next, *current)) return next;
+    if (next == current || NodeEquals(*next, *current)) return next;
     current = std::move(next);
   }
   return current;

@@ -10,7 +10,7 @@
 /// formalisms, and bounded decision procedures. The workload layer adds
 /// throughput machinery on top: a work-stealing thread pool, a parallel
 /// corpus × queries batch engine, per-tree cross-query caches, and a
-/// hash-consed plan cache.
+/// plan cache that shares compiled programs between equal plans.
 
 #include "bta/bta.h"
 #include "bta/languages.h"

@@ -186,7 +186,6 @@ TEST_F(AlgebraTest, GenuinelyNondeterministicAutomaton) {
   // NFTA guessing: accepts trees whose root label equals the label of some
   // leaf. Built directly with nondeterministic choices, then determinized.
   const Symbol a = alphabet_.Find("a");
-  const Symbol b = alphabet_.Find("b");
   Nfta nfta;
   nfta.num_states = 3;  // 0 = neutral, 1 = found-a-leaf, 2 = found-b-leaf
   nfta.alphabet = labels_;

@@ -415,12 +415,12 @@ TEST(ExecWithinTest, NestedBodiesMatchInterpreterAndNaive) {
         EXPECT_EQ(local.EvalGeneral(*program), reference)
             << text << " on " << TreeShapeToString(shape) << " n=" << n;
         // Twice through engines on the shared cache: the first computes
-        // (or finds L2 sets), the second starts cold but hits L2.
+        // (or finds cached sets), the second starts cold but hits them.
         for (int round = 0; round < 2; ++round) {
           ExecEngine shared(*tree, &cache);
           EXPECT_EQ(shared.Eval(*program), reference)
               << text << " round " << round;
-          EXPECT_EQ(shared.Eval(*program), reference) << text << " (L1)";
+          EXPECT_EQ(shared.Eval(*program), reference) << text << " (hit)";
         }
       }
     }
@@ -462,8 +462,8 @@ TEST(ExecWithinTest, CancelDuringPassStoresNothingAndRerunIsCorrect) {
   EXPECT_TRUE(engine.last_run().deadline_expired);
   EXPECT_EQ(cache.within_entries(), entries_before);
 
-  // The same engine, flag lowered: the pass reruns from scratch (nothing
-  // was memoised in L1 either) and stores exactly one set.
+  // The same engine, flag lowered: the pass reruns from scratch (the
+  // engine keeps no memo of its own) and stores exactly one set.
   cancel.store(false);
   EXPECT_EQ(engine.Eval(*program), expected);
   EXPECT_FALSE(engine.last_run().deadline_expired);
@@ -538,11 +538,11 @@ TEST(ExecIntegrationTest, PlanCacheSharesProgramsByCanonicalRoot) {
   EXPECT_EQ(stats.program_hits, 1u);
 
   // Different text, same plan after simplification (`W φ ≡ φ` on the
-  // downward fragment): the canonical root coincides, so the program is
-  // shared and no second lowering runs.
+  // downward fragment): the plans are structurally equal, so the program
+  // is shared and no second lowering runs.
   auto rewritten = cache.ParseCompiled("W(<child[a]>)", &alphabet)
                        .ValueOrDie();
-  EXPECT_EQ(rewritten.query->plan().get(), first.query->plan().get());
+  EXPECT_TRUE(NodeEquals(*rewritten.query->plan(), *first.query->plan()));
   EXPECT_EQ(rewritten.program.get(), first.program.get());
   stats = cache.stats();
   EXPECT_EQ(stats.program_misses, 1u);

@@ -46,7 +46,7 @@ cross-check: interpreter bit-for-bit match
 trace:
 query
   plan_cache.parse_compiled instrs=4 regs=3 dag_hits=0 downward=1
-    - plan_cache: text miss, parsed + interned
+    - plan_cache: text miss, parsed
     - plan_cache: program miss, lowered
   exec.eval axis.aos.sparse_path=1 axis.aos.touches=28 star_rounds_used=0 star_round_budget=72 instrs_executed=4 result_count=28
     - dispatch: register_machine

@@ -43,7 +43,9 @@ TEST(HistogramTest, EveryBucketsBoundsRoundTripThroughBucketFor) {
     const int64_t lo = Histogram::BucketLowerBound(k);
     SCOPED_TRACE("bucket " + std::to_string(k));
     EXPECT_EQ(Histogram::BucketFor(lo), k);
-    if (k > 1) EXPECT_EQ(Histogram::BucketFor(lo - 1), k - 1);
+    if (k > 1) {
+      EXPECT_EQ(Histogram::BucketFor(lo - 1), k - 1);
+    }
     const int64_t hi = Histogram::BucketUpperBound(k);
     if (k < 63) {
       EXPECT_EQ(Histogram::BucketFor(hi - 1), k);

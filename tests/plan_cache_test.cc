@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -9,7 +11,12 @@
 #include <vector>
 
 #include "common/alphabet.h"
+#include "common/bitset.h"
+#include "exec/engine.h"
 #include "exec/program.h"
+#include "obs/metrics.h"
+#include "test_util.h"
+#include "workload/tree_cache.h"
 #include "xpath/ast.h"
 #include "xpath/fragment.h"
 #include "xpath/intern.h"
@@ -17,6 +24,8 @@
 
 namespace xptc {
 namespace {
+
+using testing_util::T;
 
 TEST(PlanCacheTest, HitReturnsSamePlanAndCountsStats) {
   Alphabet alphabet;
@@ -52,18 +61,108 @@ TEST(PlanCacheTest, CachedPlanMatchesDirectParse) {
   EXPECT_EQ(cached->source_dialect(), direct.source_dialect());
 }
 
-TEST(PlanCacheTest, HashConsingSharesSubexpressionsAcrossQueries) {
-  // Two distinct query texts containing the same subexpression: after
-  // interning, the shared subtree must be pointer-identical, so every
-  // pointer-keyed evaluator memo hits across the two plans.
+// Evaluates `compiled` on `engine` and returns how many `W` sets the run
+// computed (the bottom-up pass, as opposed to a memo hit).
+int64_t WithinSetsComputed(exec::ExecEngine* engine,
+                           const PlanCache::CompiledQuery& compiled,
+                           Bitset* result) {
+  obs::Counter& computed =
+      obs::Registry::Default().counter("eval.within_computed");
+  const int64_t before = computed.value();
+  *result = engine->Eval(*compiled.program);
+  return computed.value() - before;
+}
+
+TEST(PlanCacheTest, WithinBodySharedByTwoPlansIsComputedOncePerTree) {
+  // Two texts with different plans that share the body `<prec[b]>` under
+  // `W`. Each plan is interned privately when it is compiled, so the two
+  // programs hold different copies of the body; the per-tree memo keys it
+  // structurally, so the second text's run finds the first one's set.
   Alphabet alphabet;
+  const Tree tree = T("r(a(b,c),b(a,c(b)),c)", &alphabet);
+  const auto shared_tree = std::make_shared<const Tree>(tree);
+  TreeCache tree_cache(shared_tree);
+  exec::ExecEngine engine(*shared_tree, &tree_cache);
   PlanCache cache;
-  auto q1 = cache.Parse("<child[a]> and b", &alphabet).ValueOrDie();
-  auto q2 = cache.Parse("<child[a]> or c", &alphabet).ValueOrDie();
-  ASSERT_EQ(q1->plan()->op, NodeOp::kAnd);
-  ASSERT_EQ(q2->plan()->op, NodeOp::kOr);
-  EXPECT_EQ(q1->plan()->left.get(), q2->plan()->left.get())
-      << "interner failed to share <child[a]> across two cached plans";
+  auto first =
+      cache.ParseCompiled("W(<prec[b]>) and a", &alphabet).ValueOrDie();
+  auto second =
+      cache.ParseCompiled("c or W(<prec[b]>)", &alphabet).ValueOrDie();
+  ASSERT_NE(first.program, second.program);
+  ASSERT_EQ(first.program->within_bodies().size(), 1u);
+  ASSERT_EQ(second.program->within_bodies().size(), 1u);
+
+  Bitset result;
+  EXPECT_EQ(WithinSetsComputed(&engine, first, &result), 1);
+  EXPECT_EQ(result, first.query->Select(*shared_tree));
+  EXPECT_EQ(WithinSetsComputed(&engine, second, &result), 0);
+  EXPECT_EQ(result, second.query->Select(*shared_tree));
+  EXPECT_EQ(tree_cache.within_entries(), 1u);
+
+  // A fresh engine on the same tree starts with no memo of its own and
+  // still computes nothing.
+  exec::ExecEngine other(*shared_tree, &tree_cache);
+  EXPECT_EQ(WithinSetsComputed(&other, second, &result), 0);
+}
+
+TEST(PlanCacheTest, ChurnKeepsWithinSetsAndBoundsTheProgramIndex) {
+  // Far more distinct texts than the cache holds, twice through two
+  // threads: every plan is evicted and recompiled (interned afresh) on the
+  // second pass, yet the per-tree memo answers every `W` body from the
+  // first pass, holds one set per distinct body, and the program index
+  // stays within twice the capacity throughout.
+  constexpr size_t kCapacity = 8;
+  constexpr int kTexts = 20 * static_cast<int>(kCapacity);
+  constexpr int kBodies = 24;
+  constexpr int kThreads = 2;
+  Alphabet alphabet;
+  const auto tree = std::make_shared<const Tree>(
+      T("r(a(b,c(l1,l2)),b(a,c(b,l3)),c(l5,a(l7)))", &alphabet));
+  std::vector<std::string> texts;
+  std::vector<Bitset> expected;
+  for (int i = 0; i < kTexts; ++i) {
+    // Distinct texts, plans and programs; `kBodies` distinct W bodies.
+    texts.push_back("W(<prec[l" + std::to_string(i % kBodies) +
+                    "] | parent/child[a]>) and not x" + std::to_string(i));
+    expected.push_back(
+        Query::Parse(texts.back(), &alphabet).ValueOrDie().Select(*tree));
+  }
+  TreeCache tree_cache(tree);
+  PlanCache cache(kCapacity);
+  obs::Counter& computed =
+      obs::Registry::Default().counter("eval.within_computed");
+  size_t max_slots = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    const int64_t computed_before = computed.value();
+    std::vector<size_t> thread_max(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        exec::ExecEngine engine(*tree, &tree_cache);
+        for (int k = 0; k < kTexts; ++k) {
+          // The threads walk the texts in opposite orders.
+          const int i = t == 0 ? k : kTexts - 1 - k;
+          auto compiled =
+              cache.ParseCompiled(texts[static_cast<size_t>(i)], &alphabet)
+                  .ValueOrDie();
+          EXPECT_EQ(engine.Eval(*compiled.program),
+                    expected[static_cast<size_t>(i)])
+              << texts[static_cast<size_t>(i)];
+          thread_max[static_cast<size_t>(t)] = std::max(
+              thread_max[static_cast<size_t>(t)], cache.program_slots());
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (const size_t m : thread_max) max_slots = std::max(max_slots, m);
+    if (pass == 1) {
+      EXPECT_EQ(computed.value() - computed_before, 0)
+          << "the second pass recomputed W sets";
+    }
+  }
+  EXPECT_EQ(tree_cache.within_entries(), static_cast<size_t>(kBodies));
+  EXPECT_LE(max_slots, 2 * kCapacity);
+  EXPECT_GE(cache.stats().program_misses, static_cast<size_t>(2 * kTexts));
 }
 
 TEST(PlanCacheTest, IdenticalTextUnderDifferentAlphabetsIsDistinct) {
@@ -213,7 +312,7 @@ TEST(PlanCacheTest, RacingColdMissesDoNotDuplicateEntries) {
   }
 }
 
-TEST(PlanCacheTest, PurgeDropsAlphabetEntriesAndInterner) {
+TEST(PlanCacheTest, PurgeDropsAlphabetEntriesAndPrograms) {
   Alphabet keep, drop;
   PlanCache cache;
   auto kept = cache.Parse("<child[a]>", &keep).ValueOrDie();
@@ -265,48 +364,6 @@ TEST(ExprInternerTest, InternsPathsIncludingPredicates) {
   EXPECT_EQ(p1.get(), p2.get());
 }
 
-TEST(ExprInternerTest, SweepKeepsCanonicalsAndStaysCorrect) {
-  Alphabet alphabet;
-  ExprInterner interner;
-  NodePtr kept =
-      interner.Intern(ParseNode("<child[keep]>", &alphabet).ValueOrDie());
-  interner.Sweep();
-  // A sweep drops only unreferenced canonicals: afterwards, re-interning
-  // an equal tree (or the canonical itself) still lands on the same
-  // representative.
-  NodePtr again =
-      interner.Intern(ParseNode("<child[keep]>", &alphabet).ValueOrDie());
-  EXPECT_EQ(again.get(), kept.get());
-  EXPECT_EQ(interner.Intern(kept).get(), kept.get());
-}
-
-TEST(ExprInternerTest, SelfTrimSweepsUnreferencedCanonicals) {
-  // A long-running interner must not grow without bound: once the
-  // canonical sets double (past kMinSweepSize), canonical nodes no live
-  // plan references are swept. Intern many distinct throwaway queries
-  // (results immediately discarded) — enough that the sweep fires at
-  // least once — and check the canonical sets shrank while a held plan
-  // survived.
-  Alphabet alphabet;
-  ExprInterner interner;
-  NodePtr kept =
-      interner.Intern(ParseNode("<child[keep]>", &alphabet).ValueOrDie());
-  constexpr size_t kDistinct = 30000;  // ~3 canonicals each > threshold
-  for (size_t i = 0; i < kDistinct; ++i) {
-    NodePtr throwaway =
-        ParseNode("<child[x" + std::to_string(i) + "]>", &alphabet)
-            .ValueOrDie();
-    ASSERT_NE(interner.Intern(throwaway), nullptr);
-  }
-  EXPECT_LT(interner.unique_nodes(), kDistinct)
-      << "self-trim never swept the discarded canonicals";
-  EXPECT_EQ(interner
-                .Intern(ParseNode("<child[keep]>", &alphabet).ValueOrDie())
-                .get(),
-            kept.get())
-      << "sweep must not evict canonicals still referenced by live plans";
-}
-
 TEST(ExprInternerTest, InternDoesNotHoldItsInput) {
   // The input memo lives for one call: once Intern returns, a fresh input
   // whose class already has a canonical is owned by its caller alone.
@@ -329,57 +386,6 @@ TEST(ExprInternerTest, SharedInputIsInternedOnce) {
   NodePtr canonical = interner.Intern(dag);
   EXPECT_EQ(interner.unique_nodes(), 65u);
   EXPECT_EQ(canonical->left.get(), canonical->right.get());
-}
-
-TEST(ExprInternerTest, OneSweepRemovesADiscardedDeepChain) {
-  // Erasing a node re-checks its children, so a discarded chain goes in
-  // the one pass of the first sweep, however deep it is — not one level
-  // per round.
-  Alphabet alphabet;
-  ExprInterner interner;
-  NodePtr kept =
-      interner.Intern(ParseNode("<child[keep]>", &alphabet).ValueOrDie());
-  const size_t nodes_before = interner.unique_nodes();
-  const size_t paths_before = interner.unique_paths();
-  {
-    NodePtr chain = MakeLabel(alphabet.Intern("leaf"));
-    for (int i = 0; i < 1000; ++i) {
-      chain = MakeSome(MakeFilter(MakeAxis(Axis::kChild), MakeNot(chain)));
-    }
-    ASSERT_NE(interner.Intern(chain), nullptr);
-  }
-  EXPECT_GE(interner.unique_nodes(), nodes_before + 2000);
-  EXPECT_EQ(interner.sweeps(), 0u);
-  interner.Sweep();
-  EXPECT_EQ(interner.sweeps(), 1u);
-  EXPECT_EQ(interner.unique_nodes(), nodes_before);
-  EXPECT_EQ(interner.unique_paths(), paths_before);
-  EXPECT_EQ(interner
-                .Intern(ParseNode("<child[keep]>", &alphabet).ValueOrDie())
-                .get(),
-            kept.get());
-}
-
-TEST(ExprInternerTest, SweepsRunOnlyWhenTheSetsDouble) {
-  // With every plan held live, nothing is ever swept, and each automatic
-  // sweep waits for the sets to double: O(log n) sweeps over n interned
-  // nodes, so the sweeps' total cost stays linear.
-  Alphabet alphabet;
-  ExprInterner interner;
-  std::vector<NodePtr> held;
-  for (int i = 0; i < 20000; ++i) {
-    held.push_back(interner.Intern(
-        ParseNode("<child[x" + std::to_string(i) + "]>", &alphabet)
-            .ValueOrDie()));
-  }
-  const size_t total = interner.unique_nodes() + interner.unique_paths();
-  size_t max_sweeps = 0;
-  for (size_t size = ExprInterner::kMinSweepSize; size <= total; size *= 2) {
-    ++max_sweeps;
-  }
-  EXPECT_GE(interner.sweeps(), 1u);
-  EXPECT_LE(interner.sweeps(), max_sweeps);
-  EXPECT_EQ(interner.unique_nodes(), 2 * held.size());
 }
 
 }  // namespace

@@ -98,6 +98,23 @@ TEST(RewriteTest, SimplifierIsIdempotent) {
   }
 }
 
+TEST(RewriteTest, SimplifyingASimplifiedExpressionReturnsIt) {
+  // Copy-on-change: a pass over an expression no rule changes rebuilds
+  // nothing, so re-simplifying a simplified plan hands back the very same
+  // object (no allocation, and pointer-keyed memos stay warm).
+  Alphabet alphabet;
+  Rng rng(13);
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 3);
+  QueryGenOptions options;
+  options.max_depth = 6;
+  for (int i = 0; i < 300; ++i) {
+    NodePtr n = SimplifyNode(GenerateNode(options, labels, &rng));
+    EXPECT_EQ(SimplifyNode(n).get(), n.get()) << NodeToString(*n, alphabet);
+    PathPtr p = SimplifyPath(GeneratePath(options, labels, &rng));
+    EXPECT_EQ(SimplifyPath(p).get(), p.get()) << PathToString(*p, alphabet);
+  }
+}
+
 TEST(RewriteTest, SimplifierNeverGrowsExpressions) {
   Alphabet alphabet;
   Rng rng(13);

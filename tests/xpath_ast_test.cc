@@ -34,7 +34,9 @@ TEST(AxisTest, NamesRoundTrip) {
 TEST(AxisTest, DownwardImpliesForward) {
   for (int i = 0; i < kNumAxes; ++i) {
     const Axis axis = static_cast<Axis>(i);
-    if (IsDownwardAxis(axis)) EXPECT_TRUE(IsForwardAxis(axis));
+    if (IsDownwardAxis(axis)) {
+      EXPECT_TRUE(IsForwardAxis(axis));
+    }
   }
 }
 
