@@ -15,6 +15,11 @@
 //     flat as n grows to 200k (linear combined complexity, no fixpoint
 //     iteration at all).
 //
+// A third section measures window-root confinement (DESIGN.md §7.4.1) on
+// deep caterpillars: a `W` body that cannot see past its window compiles
+// without the windowed pass, which costs Σ_v |T|v| (quadratic on a deep
+// spine) in the interpreter and for the unconfined control.
+//
 // Results are appended to BENCH_compiled.json (schema below); any
 // bit-for-bit mismatch between engines dumps a replayable .case file and
 // aborts the bench with exit 1.
@@ -27,6 +32,11 @@
 //    "downward": {"cases": [{"query": str, "rows": [{"n": int,
 //                 "interp_ms": f, "general_ms": f, "onepass_ms": f,
 //                 "onepass_ns_per_node": f, "match": bool}, ...]}, ...]},
+//    "adversarial": {...},
+//    "confinement": {"rows": [{"query": str, "n": int,
+//                    "within_bodies": int, "windows_dropped": int,
+//                    "interp_ms": f, "compiled_ms": f, "speedup": f,
+//                    "match": bool}, ...]},
 //    "compiled_not_slower": bool}   // CI regression gate (see ci.yml)
 
 #include <benchmark/benchmark.h>
@@ -308,11 +318,96 @@ std::vector<AdversarialRow> AdversarialReport(bool* all_match) {
 }
 
 // ---------------------------------------------------------------------------
+// Part 4: window-root confinement on deep trees.
+//
+// The interpreter runs every `W` body on each subtree window: O(Σ_v |T|v|)
+// bitset work, quadratic on a caterpillar's spine. The compiled program
+// drops the window of a confined body and runs φ' once over the tree; the
+// control's `anc` step leaves its window, so both sides run the pass.
+
+struct ConfineRow {
+  std::string query;
+  int n = 0;
+  int within_bodies = 0;
+  int windows_dropped = 0;
+  double interp_seconds = 0;
+  double compiled_seconds = 0;
+  bool match = false;
+};
+
+std::vector<ConfineRow> ConfinementReport(bool* all_match) {
+  std::printf("\nWindow-root confinement on caterpillar trees "
+              "(interpreter = windowed pass, compiled = as compiled):\n");
+  bench::PrintRow({"query", "n", "W bodies", "dropped", "interp ms",
+                   "compiled ms", "speedup", "match"},
+                  22);
+  const char* texts[] = {
+      "W(a or <prec[b]>)",       // confined: compiles as `a`
+      "W(<child[<psib[b]>]>)",   // confined: siblings below the root
+      "W(<desc[<anc[b]>]>)",     // control: `anc` leaves the window
+  };
+  std::vector<int> sizes = {4096, 16384, 65536};
+  if (bench::SmokeMode()) sizes = {1000, 4000};
+  Alphabet alphabet;
+  std::vector<ConfineRow> rows;
+  for (int n : sizes) {
+    const Tree tree =
+        bench::BenchTree(&alphabet, n, TreeShape::kCaterpillar, 12);
+    for (const char* text : texts) {
+      NodePtr query = ParseNode(text, &alphabet).ValueOrDie();
+      auto program = exec::Program::Compile(query);
+      ConfineRow row;
+      row.query = text;
+      row.n = n;
+      row.within_bodies = static_cast<int>(program->within_bodies().size());
+      row.windows_dropped = program->stats().windows_dropped;
+      Bitset interp_bits(0), compiled_bits(0);
+      // Windowed sides are quadratic here: one rep each.
+      row.interp_seconds = bench::MedianSeconds(
+          [&] {
+            Evaluator evaluator(tree);
+            interp_bits = evaluator.EvalNode(*query);
+          },
+          1);
+      // A fresh engine per run: nothing memoised between reps.
+      row.compiled_seconds = bench::MedianSeconds(
+          [&] {
+            exec::ExecEngine engine(tree);
+            compiled_bits = engine.Eval(*program);
+          },
+          row.within_bodies > 0 ? 1 : 3);
+      row.match = interp_bits == compiled_bits;
+      bench::PrintRow(
+          {text, std::to_string(n), std::to_string(row.within_bodies),
+           std::to_string(row.windows_dropped),
+           bench::Fmt(row.interp_seconds * 1e3, 3),
+           bench::Fmt(row.compiled_seconds * 1e3, 3),
+           bench::Fmt(row.interp_seconds / row.compiled_seconds, 1),
+           row.match ? "yes" : "MISMATCH"},
+          22);
+      if (!row.match) {
+        *all_match = false;
+        const std::string path = bench::DumpMismatchCase(
+            tree, alphabet, text, "exp12 confinement case");
+        std::fprintf(stderr, "FATAL: engines disagree on %s at n=%d (%s)\n",
+                     text, n, path.c_str());
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  std::printf("Expected shape: the confined rows' compiled column grows "
+              "linearly while the interpreter's grows with Σ_v |T|v|; the "
+              "control row runs the windowed pass on both sides.\n");
+  return rows;
+}
+
+// ---------------------------------------------------------------------------
 // JSON section.
 
 std::string SectionJson(const std::vector<DagResult>& dag, int dag_n,
                         const std::vector<DownwardCase>& downward,
                         const std::vector<AdversarialRow>& adversarial,
+                        const std::vector<ConfineRow>& confinement,
                         bool compiled_not_slower) {
   std::ostringstream os;
   os << "{\"smoke\": " << (bench::SmokeMode() ? "true" : "false");
@@ -361,6 +456,19 @@ std::string SectionJson(const std::vector<DagResult>& dag, int dag_n,
        << ", \"onepass_ms\": " << bench::Fmt(row.onepass_seconds * 1e3, 4)
        << ", \"hybrid_ms\": " << bench::Fmt(row.hybrid_seconds * 1e3, 4)
        << ", \"fell_back\": " << (row.fell_back ? "true" : "false")
+       << ", \"match\": " << (row.match ? "true" : "false") << "}";
+  }
+  os << "]}, \"confinement\": {\"rows\": [";
+  for (size_t i = 0; i < confinement.size(); ++i) {
+    const ConfineRow& row = confinement[i];
+    if (i > 0) os << ", ";
+    os << "{\"query\": \"" << row.query << "\", \"n\": " << row.n
+       << ", \"within_bodies\": " << row.within_bodies
+       << ", \"windows_dropped\": " << row.windows_dropped
+       << ", \"interp_ms\": " << bench::Fmt(row.interp_seconds * 1e3, 3)
+       << ", \"compiled_ms\": " << bench::Fmt(row.compiled_seconds * 1e3, 4)
+       << ", \"speedup\": "
+       << bench::Fmt(row.interp_seconds / row.compiled_seconds, 1)
        << ", \"match\": " << (row.match ? "true" : "false") << "}";
   }
   os << "]}, \"compiled_not_slower\": "
@@ -418,12 +526,14 @@ int main(int argc, char** argv) {
       "bottom-up sweep [T2]",
       "DAG-heavy queries interpreter-vs-compiled at fixed n; downward "
       "queries interpreter vs register machine vs one-pass sweep on "
-      "uniform trees n = 12.5k..200k");
+      "uniform trees n = 12.5k..200k; confined vs windowed W bodies on "
+      "caterpillars n = 4k..65k");
   const int dag_n = xptc::bench::SmokeMode() ? 2000 : 50000;
   bool all_match = true;
   const auto dag = xptc::DagReport(dag_n, &all_match);
   const auto downward = xptc::DownwardReport(&all_match);
   const auto adversarial = xptc::AdversarialReport(&all_match);
+  const auto confinement = xptc::ConfinementReport(&all_match);
   // Regression gate (see ci.yml): total time of the *default* compiled
   // dispatch (register machine for DAG cases, Eval's hybrid for downward
   // cases) must not exceed the PR-1 interpreter on the same workload.
@@ -445,7 +555,7 @@ int main(int argc, char** argv) {
   const bool compiled_not_slower = compiled_total <= interp_total;
   xptc::bench::UpdateBenchJson(
       xptc::bench::CompiledJsonPath(), "exp12_compiled",
-      xptc::SectionJson(dag, dag_n, downward, adversarial,
+      xptc::SectionJson(dag, dag_n, downward, adversarial, confinement,
                         compiled_not_slower));
   // The full registry export rides along (dispatch counts, star rounds,
   // instruction totals for every run above) — the section's counter-valued

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "exec/confine.h"
 #include "xpath/axis_kernels.h"
 #include "xpath/fragment.h"
 #include "xpath/intern.h"
@@ -552,13 +553,22 @@ std::shared_ptr<const Program> Program::Compile(const NodePtr& query) {
   // A private interner: collapses repeated subexpressions of *this* query.
   // Programs are shared across queries by PlanCache's structural index.
   ExprInterner interner;
+  const NodePtr plan = interner.Intern(query);
+  // Confinement runs on the interned plan, so a W repeated in the query is
+  // analysed once; its output is interned again for the lowering memos.
+  std::vector<NodePtr> dropped;
+  NodePtr lowered = ConfineWindows(plan, ConfineRules::kExact, &dropped);
+  if (lowered != plan) lowered = interner.Intern(lowered);
   WithinTable table;
-  std::shared_ptr<Program> program = Lower(interner.Intern(query), &table);
+  std::shared_ptr<Program> program = Lower(lowered, &table);
+  program->plan_ = plan;
   program->within_bodies_ = std::move(table.bodies);
   CompileStats& stats = program->stats_;
   stats.ast_nodes = NodeSize(*query);
-  if (IsDownwardNode(*program->plan_)) {
-    if (auto downward = DownwardProgram::Compile(program->plan_)) {
+  stats.windows_dropped = static_cast<int>(dropped.size());
+  program->dropped_windows_ = std::move(dropped);
+  if (IsDownwardNode(*lowered)) {
+    if (auto downward = DownwardProgram::Compile(lowered)) {
       program->downward_ =
           std::make_unique<const DownwardProgram>(std::move(*downward));
       stats.downward = true;

@@ -83,6 +83,7 @@ struct CompileStats {
   int dag_hits = 0;    // lowering memo hits — shared subcomputations
   bool downward = false;  // one-pass downward program attached
   int bit_ops = 0;        // downward bit-program length (0 if !downward)
+  int windows_dropped = 0;  // `W` bodies compiled without a window
 };
 
 /// A compiled query plan: the result of lowering a `NodeExpr` DAG into a
@@ -109,11 +110,14 @@ struct CompileStats {
 ///    loop bodies follow, each a contiguous range referenced by its kStar
 ///    instruction. Executing [0, main_end) in order (recursing into bodies
 ///    at kStar sites) leaves the answer in `result_reg()`.
-///  - Each distinct `W` body is lowered into its own sub-program, listed in
-///    `within_bodies()` in post-order (inner bodies first), so the engine
-///    computes a nested `W` without recursing.
-///  - If the plan lies in the downward fragment, a `DownwardProgram` is
-///    attached for the one-pass linear engine.
+///  - Before lowering, each `W φ` whose body never looks outside its
+///    window is compiled as `φ'` (exec/confine.h): no sub-program, no
+///    windowed pass, no per-tree memo entry.
+///  - Each remaining distinct `W` body is lowered into its own sub-program,
+///    listed in `within_bodies()` in post-order (inner bodies first), so
+///    the engine computes a nested `W` without recursing.
+///  - If the lowered plan lies in the downward fragment, a
+///    `DownwardProgram` is attached for the one-pass linear engine.
 ///
 /// A Program is immutable and shareable across threads and trees; per-run
 /// state (the register file) lives in `ExecEngine`.
@@ -128,10 +132,15 @@ class Program {
   int result_reg() const { return result_reg_; }
   const CompileStats& stats() const { return stats_; }
 
-  /// The hash-consed plan; pins every expression referenced by kWithin
-  /// instructions. Its structure (NodeHash/NodeEquals) is the program's
-  /// identity in `PlanCache`.
+  /// The hash-consed input plan, before `W` confinement. Its structure
+  /// (NodeHash/NodeEquals) is the program's identity in `PlanCache`.
   const NodePtr& plan() const { return plan_; }
+
+  /// The bodies of the `W`s compiled without a window, as they appear in
+  /// `plan()`, one per distinct `W`; EXPLAIN names them.
+  const std::vector<NodePtr>& dropped_windows() const {
+    return dropped_windows_;
+  }
 
   /// The distinct `W` bodies of the plan, inner bodies first; kWithin
   /// operands index this table. Empty for the sub-programs themselves.
@@ -169,6 +178,7 @@ class Program {
   int result_reg_ = -1;
   CompileStats stats_;
   NodePtr plan_;
+  std::vector<NodePtr> dropped_windows_;
   std::vector<WithinBody> within_bodies_;
   std::unique_ptr<const DownwardProgram> downward_;
 };

@@ -224,6 +224,9 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
       parse_span.Attr("regs", stats.num_regs);
       parse_span.Attr("dag_hits", stats.dag_hits);
       parse_span.Attr("downward", stats.downward ? 1 : 0);
+      if (stats.windows_dropped > 0) {
+        parse_span.Attr("windows_dropped", stats.windows_dropped);
+      }
     }
     compiled_result = engine.Eval(*compiled.program);
     {
@@ -272,6 +275,13 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
     r.append(std::to_string(run.star_rounds_used));
     r.append(",\n  \"star_round_budget\": ");
     r.append(std::to_string(run.star_round_budget));
+    r.append(",\n  \"windows_dropped\": [");
+    for (size_t i = 0; i < program.dropped_windows().size(); ++i) {
+      if (i > 0) r.append(", ");
+      AppendJsonString(&r,
+                       NodeToString(*program.dropped_windows()[i], alphabet));
+    }
+    r.append("]");
     r.append(",\n  \"result_count\": ");
     r.append(std::to_string(compiled_result.Count()));
     r.append(",\n  \"match\": ");
@@ -292,6 +302,12 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
   os << "dialect: plan=" << DialectToString(query.dialect())
      << " source=" << DialectToString(query.source_dialect()) << "\n";
   os << "plan: " << NodeToString(*query.plan(), alphabet) << "\n";
+  // W bodies compiled without a window (exec/confine.h); the plan above
+  // still shows them under W, as the interpreter runs them.
+  for (const NodePtr& body : program.dropped_windows()) {
+    os << "note: W dropped (confined): " << NodeToString(*body, alphabet)
+       << "\n";
+  }
   os << "\n";
 
   const exec::CompileStats& stats = program.stats();

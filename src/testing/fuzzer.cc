@@ -231,7 +231,8 @@ std::vector<SelfCheckReport> RunSelfCheck(Alphabet* alphabet, uint64_t seed,
                                           int64_t max_cases) {
   std::vector<SelfCheckReport> reports;
   for (Mutation mutation :
-       {Mutation::kAndAsOr, Mutation::kStarAsPlus, Mutation::kDropWithin}) {
+       {Mutation::kAndAsOr, Mutation::kStarAsPlus, Mutation::kDropWithin,
+        Mutation::kConfineSiblingsAtRoot}) {
     // Cheap real oracles + the mutant; the naive reference is first, so
     // every disagreement pits the mutant against it.
     DefaultRegistryOptions registry_options;
@@ -254,6 +255,7 @@ std::vector<SelfCheckReport> RunSelfCheck(Alphabet* alphabet, uint64_t seed,
         options.fragment = FuzzFragment::kRegular;  // star forced to appear
         break;
       case Mutation::kDropWithin:
+      case Mutation::kConfineSiblingsAtRoot:
         options.fragment = FuzzFragment::kRegularW;  // W forced to appear
         break;
     }

@@ -7,6 +7,7 @@
 #include "common/threadpool.h"
 #include "compile/compile.h"
 #include "compile/to_dfta.h"
+#include "exec/confine.h"
 #include "exec/engine.h"
 #include "exec/program.h"
 #include "logic/fo_eval.h"
@@ -435,6 +436,11 @@ class MutantOracle : public Oracle {
         mutation_(mutation) {}
 
   Result<SelectedSet> Run(const Tree& tree, const NodePtr& query) override {
+    if (mutation_ == Mutation::kConfineSiblingsAtRoot) {
+      return EvalNodeNaive(
+          tree, *exec::ConfineWindows(
+                    query, exec::ConfineRules::kSiblingsAlwaysInside));
+    }
     return EvalNodeNaive(tree, *MutateNode(query, mutation_));
   }
 
@@ -452,6 +458,8 @@ const char* MutationToString(Mutation mutation) {
       return "star-as-plus";
     case Mutation::kDropWithin:
       return "drop-within";
+    case Mutation::kConfineSiblingsAtRoot:
+      return "confine-siblings-at-root";
   }
   return "?";
 }

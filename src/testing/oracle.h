@@ -195,11 +195,15 @@ enum class Mutation {
   kAndAsOr,      // φ ∧ ψ evaluated as φ ∨ ψ
   kStarAsPlus,   // p* loses reflexivity (evaluated as p+)
   kDropWithin,   // W φ evaluated as φ (wrong off the downward fragment)
+  kConfineSiblingsAtRoot,  // W confinement (exec/confine.h) without the
+                           // `lo ≥ 1` condition on the sibling axes
 };
 
 const char* MutationToString(Mutation mutation);
 
-/// A mutant of the naive reference carrying the given bug.
+/// A mutant of the naive reference carrying the given bug (for
+/// kConfineSiblingsAtRoot: the naive reference on the query as the
+/// mutated confinement analysis rewrites it).
 std::unique_ptr<Oracle> MakeMutantOracle(Mutation mutation);
 
 }  // namespace testing

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 
 #include "common/alphabet.h"
 #include "common/rng.h"
+#include "exec/confine.h"
 #include "exec/engine.h"
 #include "exec/program.h"
 #include "obs/metrics.h"
@@ -379,16 +381,19 @@ TEST(ExecWithinTest, NestedBodiesMatchInterpreterAndNaive) {
   // per context. Nested bodies with stars, filters and sibling/prec axes
   // on the shapes where windows matter most: a chain (every window a
   // suffix), a caterpillar (deep spine, leaf fringe) and a uniform tree.
+  // Every text keeps at least one body that leaves its window (so it runs
+  // the windowed pass) next to bodies that compile without one.
   Alphabet alphabet;
   const std::vector<Symbol> labels = DefaultLabels(&alphabet, 3);
   const char* texts[] = {
-      "W(<(child[a])*[b]>)",
-      "W(<desc[W(<prec[a]>) and b]>)",
+      "W(<(child[a])*[<anc[b]>]>)",
+      "W(<desc[W(<prec[a]>) and <anc[b]>]>)",
       "W(<(fsib[a] | psib)*[W(<child[b]/foll[c]>)]>) or "
       "<anc[W(a and not <prec[b]>)]>",
-      "<(child[W(<(right)*[a]>)])*[W(<desc[b]> and not <(parent)*[c]>)]>",
-      "W(W(<prec[a]>) and <(child)*[W(<psib[b]>)]>)",
-      "W(<(child[W(<(prec[b])*[c]>)])*[a]>) and not W(<anc[b]>)",
+      "<(child[W(<(right)*[a]>)])*"
+      "[W(<desc[b]> and not <desc/(parent)*[c]>)]>",
+      "W(W(<prec[a]>) and <(child)*[W(<child/psib[b]>) and <prec[c]>]>)",
+      "W(<(child[W(<(prec[b])*[c]>)])*[a]>) and not W(<desc/anc[b]>)",
   };
   Rng rng(4242);
   for (const TreeShape shape :
@@ -431,7 +436,8 @@ TEST(ExecWithinTest, CancelDuringPassStoresNothingAndRerunIsCorrect) {
   // A chain of `a`s with one `b` at the bottom: in every context the star
   // climbs the whole window one round at a time, so the W pass takes
   // ~n²/2 star rounds — long enough for a helper thread to raise the
-  // cancel flag once the pass has started.
+  // cancel flag once the pass has started. The `anc` step (vacuous here:
+  // there is no `c`) leaves the window, so the body keeps its pass.
   Alphabet alphabet;
   const Symbol a = alphabet.Intern("a");
   const Symbol b = alphabet.Intern("b");
@@ -442,7 +448,9 @@ TEST(ExecWithinTest, CancelDuringPassStoresNothingAndRerunIsCorrect) {
   const auto tree =
       std::make_shared<const Tree>(std::move(builder).Finish().ValueOrDie());
   TreeCache cache(tree);
-  auto program = Program::Compile(N("W(<(child[a or b])*[b]>)", &alphabet));
+  auto program = Program::Compile(
+      N("W(<(child[a or b])*[b and not <anc[c]>]>)", &alphabet));
+  ASSERT_EQ(program->within_bodies().size(), 1u);
   Bitset expected(kNodes);
   expected.SetAll();  // every context reaches the bottom `b`
 
@@ -453,12 +461,21 @@ TEST(ExecWithinTest, CancelDuringPassStoresNothingAndRerunIsCorrect) {
   ExecEngine engine(*tree, &cache);
   engine.SetCancelFlag(&cancel);
   const int64_t started = computed.value();
+  // The wait is bounded: if no pass starts, the test fails, not hangs.
+  std::atomic<bool> raised{false};
   std::thread canceller([&] {
-    while (computed.value() == started) std::this_thread::yield();
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (computed.value() == started &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    raised.store(computed.value() != started);
     cancel.store(true);
   });
   engine.Eval(*program);
   canceller.join();
+  ASSERT_TRUE(raised.load()) << "the W pass never started";
   EXPECT_TRUE(engine.last_run().deadline_expired);
   EXPECT_EQ(cache.within_entries(), entries_before);
 
@@ -471,12 +488,14 @@ TEST(ExecWithinTest, CancelDuringPassStoresNothingAndRerunIsCorrect) {
 }
 
 TEST(ExecWithinTest, NestingAtTheParserDepthLimitCompilesAndEvaluates) {
-  // The deepest `W(W(...W(φ)...))` the parser accepts: one sub-program per
-  // level, resolved innermost first without recursion in the engine.
+  // The deepest `W(... or W(...W(φ)...))` the parser accepts: one
+  // sub-program per level, resolved innermost first without recursion in
+  // the engine. Each level's `<desc/anc>` leaves its window, so no level
+  // compiles without one.
   Alphabet alphabet;
   const auto nested = [](int depth) {
     std::string text;
-    for (int i = 0; i < depth; ++i) text += "W(";
+    for (int i = 0; i < depth; ++i) text += "W(<desc/anc> or ";
     return text + "a or <prec[b]>" +
            std::string(static_cast<size_t>(depth), ')');
   };
@@ -491,6 +510,142 @@ TEST(ExecWithinTest, NestingAtTheParserDepthLimitCompilesAndEvaluates) {
   Tree tree = T("b(a(b, c(a)), c(b, a(c)), a)", &alphabet);
   ExecEngine engine(tree);
   EXPECT_EQ(engine.Eval(*program), Interpret(tree, query));
+}
+
+// ------------------------------------------------------- W confinement
+
+TEST(ExecConfineTest, BodiesKeepTheirWindowExactlyWhenTheyLeaveIt) {
+  // `within` is the number of W bodies left to the windowed pass, `dropped`
+  // the number compiled without a window; every answer is checked against
+  // Query::Select, which runs each W on its window.
+  struct Case {
+    const char* text;
+    size_t within;
+    int dropped;
+  };
+  const Case cases[] = {
+      {"W(<aos>)", 0, 1},                 // aos at the root is self
+      {"W(<parent>)", 0, 1},              // empty at the root: false
+      {"W(<fsib>)", 0, 1},                // likewise
+      {"W(<child/parent>)", 0, 1},        // parent from depth 1
+      {"W(<dos/parent>)", 1, 0},          // parent from [0, ∞]: mixed
+      {"W(<(child/parent)*[a]>)", 0, 1},  // the star is stable at [0, 0]
+      {"W(<(parent)*[a]>)", 0, 1},        // ∅* = self
+      {"W(<child[<psib[b]>]>)", 0, 1},    // siblings below the root
+      {"W(<child[<prec[b]>]>)", 1, 0},    // prec from depth 1 leaves
+      // A confined body around a kept one: the outer W goes, the inner
+      // (whose `anc` leaves its window) stays.
+      {"W(<child[W(<desc/anc[b]>)]>)", 1, 1},
+  };
+  Alphabet alphabet;
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 3);
+  Rng rng(2020);
+  std::vector<std::shared_ptr<const Tree>> trees;
+  for (const TreeShape shape : {TreeShape::kUniformRecursive,
+                                TreeShape::kCaterpillar, TreeShape::kComb}) {
+    for (const int n : {12, 150}) {
+      TreeGenOptions options;
+      options.num_nodes = n;
+      options.shape = shape;
+      trees.push_back(
+          std::make_shared<const Tree>(GenerateTree(options, labels, &rng)));
+    }
+  }
+  for (const Case& c : cases) {
+    auto program = Program::Compile(N(c.text, &alphabet));
+    std::string error;
+    ASSERT_TRUE(exec::VerifyProgram(*program, &error)) << error;
+    EXPECT_EQ(program->within_bodies().size(), c.within) << c.text;
+    EXPECT_EQ(program->stats().windows_dropped, c.dropped) << c.text;
+    EXPECT_EQ(program->dropped_windows().size(),
+              static_cast<size_t>(c.dropped));
+    const Query query = Query::Parse(c.text, &alphabet).ValueOrDie();
+    for (const auto& tree : trees) {
+      TreeCache cache(tree);
+      ExecEngine engine(*tree, &cache);
+      EXPECT_EQ(engine.Eval(*program), query.Select(*tree))
+          << c.text << " on " << tree->ToTerm(alphabet);
+    }
+  }
+}
+
+TEST(ExecConfineTest, PrecFromDepthOneKeepsItsWindow) {
+  // W(<child[<prec[b]>]>) is not <child[<prec[b]>]>: at v the child c
+  // precedes b only outside T|v.
+  Alphabet alphabet;
+  const Tree tree = T("r(x(b),v(c))", &alphabet);
+  const NodeId v = 3;
+  const Bitset windowed =
+      Query::Parse("W(<child[<prec[b]>]>)", &alphabet).ValueOrDie().Select(
+          tree);
+  const Bitset unwrapped =
+      Query::Parse("<child[<prec[b]>]>", &alphabet).ValueOrDie().Select(tree);
+  EXPECT_FALSE(windowed.Get(v));
+  EXPECT_TRUE(unwrapped.Get(v));
+  auto program = Program::Compile(N("W(<child[<prec[b]>]>)", &alphabet));
+  ASSERT_EQ(program->within_bodies().size(), 1u);
+  ExecEngine engine(tree);
+  EXPECT_EQ(engine.Eval(*program), windowed);
+}
+
+TEST(ExecConfineTest, PlanStaysTheInputAndADownwardResultSweeps) {
+  // `W(a or <prec[b]>)` is `a`: the lowered plan is downward and gets the
+  // one-pass sweep, while plan() (the PlanCache key) still holds the W.
+  Alphabet alphabet;
+  const NodePtr query = N("W(a or <prec[b]>) and <child[c]>", &alphabet);
+  auto program = Program::Compile(query);
+  EXPECT_TRUE(NodeEquals(*program->plan(), *query));
+  EXPECT_TRUE(program->within_bodies().empty());
+  ASSERT_EQ(program->dropped_windows().size(), 1u);
+  EXPECT_EQ(NodeToString(*program->dropped_windows()[0], alphabet),
+            NodeToString(*N("a or <prec[b]>", &alphabet), alphabet));
+  ASSERT_NE(program->downward(), nullptr);
+  for (const Tree& tree : CorpusTrees(&alphabet, 6, 30, 31)) {
+    ExecEngine engine(tree);
+    EXPECT_EQ(engine.Eval(*program), Interpret(tree, query));
+    EXPECT_EQ(engine.EvalDownward(*program), Interpret(tree, query));
+  }
+}
+
+TEST(ExecConfineTest, BodyPastTheVisitBudgetKeepsItsWindow) {
+  // A balanced conjunction of 2^k copies of `a` interns to a k-deep DAG,
+  // but the analysis walks its unfolding: at k = 19 that is past the
+  // 2^18-visit budget, so the (confined) body keeps its W; at k = 10 it
+  // is dropped. Both answer `a`.
+  Alphabet alphabet;
+  const NodePtr a = N("a", &alphabet);
+  const auto balanced = [&a](int k) {
+    NodePtr node = a;
+    for (int i = 0; i < k; ++i) node = MakeAnd(node, node);
+    return MakeWithin(node);
+  };
+  const Tree tree = T("a(b(a, a), a(c), b)", &alphabet);
+  const Bitset expected = Interpret(tree, a);
+  for (const auto& [k, within] :
+       std::vector<std::pair<int, size_t>>{{10, 0}, {19, 1}}) {
+    auto program = Program::Compile(balanced(k));
+    EXPECT_EQ(program->within_bodies().size(), within) << "k=" << k;
+    ExecEngine engine(tree);
+    EXPECT_EQ(engine.Eval(*program), expected) << "k=" << k;
+  }
+}
+
+TEST(ExecConfineTest, RewrittenPlanIsNeverLarger) {
+  // The ∅ folds (⟨∅⟩ = false, p/∅ = ∅/p = ∅[φ] = ∅, ∅ | p = p, ∅* = self,
+  // φ ∨ false = φ) keep φ' no larger than W φ.
+  Alphabet alphabet;
+  for (const char* text :
+       {"W(<(left | fsib/child)*[a]> or <parent/child[b]>)",
+        "W(<prec[a]> or <foll> or <anc[b]>)", "W(<(psib[a])*/child>)",
+        "W(<aos[a]> and not <right>)"}) {
+    const NodePtr query = N(text, &alphabet);
+    std::vector<NodePtr> dropped;
+    const NodePtr rewritten =
+        exec::ConfineWindows(query, exec::ConfineRules::kExact, &dropped);
+    EXPECT_EQ(dropped.size(), 1u) << text;
+    EXPECT_LT(NodeSize(*rewritten), NodeSize(*query))
+        << text << " -> " << NodeToString(*rewritten, alphabet);
+  }
 }
 
 // ------------------------------------------------------------- integration

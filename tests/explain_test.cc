@@ -139,14 +139,15 @@ TEST(ExplainTest, StarHeavyQueryKeepsTraceAndRegistryConsistent) {
 }
 
 TEST(ExplainTest, TruncatedTraceIsReportedInconsistent) {
-  // One eval.w_compute span per distinct non-downward W body: past the
-  // span cap the counts inside dropped spans are lost, and EXPLAIN says so
-  // instead of reconciling an incomplete trace.
+  // One eval.w_compute span per distinct W body that leaves its window
+  // (`anc` below the root does): past the span cap the counts inside
+  // dropped spans are lost, and EXPLAIN says so instead of reconciling an
+  // incomplete trace.
   ExplainOptions options = GoldenOptions();
   options.query.clear();
   for (int i = 0; i < kMaxTraceSpans; ++i) {
     if (i > 0) options.query += " or ";
-    options.query += "W(<anc[w" + std::to_string(i) + "]>)";
+    options.query += "W(<desc[<anc[w" + std::to_string(i) + "]>]>)";
   }
   auto explained = ExplainQuery(options);
   ASSERT_TRUE(explained.ok()) << explained.status().message();
@@ -155,6 +156,33 @@ TEST(ExplainTest, TruncatedTraceIsReportedInconsistent) {
   EXPECT_NE(explained->rendered.find("spans dropped past the 64-span cap"),
             std::string::npos)
       << explained->rendered;
+}
+
+TEST(ExplainTest, DroppedWindowsAreNoted) {
+  // `W(a or <prec[b]>)` compiles as `a`; the body that leaves its window
+  // (`anc` below the root) keeps its pass and gets no note.
+  ExplainOptions options = GoldenOptions();
+  options.query = "W(a or <prec[b]>) and not W(<desc[<anc[c]>]>)";
+  auto explained = ExplainQuery(options);
+  ASSERT_TRUE(explained.ok()) << explained.status().message();
+  EXPECT_TRUE(explained->match);
+  EXPECT_TRUE(explained->consistent) << explained->rendered;
+  const std::string& r = explained->rendered;
+  EXPECT_NE(r.find("note: W dropped (confined): a or <prec[b]>\n"),
+            std::string::npos)
+      << r;
+  EXPECT_EQ(r.find("note: W dropped (confined): <desc"), std::string::npos)
+      << r;
+  EXPECT_NE(r.find("windows_dropped=1"), std::string::npos) << r;
+
+  options.json = true;
+  auto json = ExplainQuery(options);
+  ASSERT_TRUE(json.ok()) << json.status().message();
+  EXPECT_TRUE(testing_util::JsonChecker::Valid(json->rendered))
+      << json->rendered;
+  EXPECT_NE(json->rendered.find("\"windows_dropped\": [\"a or <prec[b]>\"]"),
+            std::string::npos)
+      << json->rendered;
 }
 
 TEST(ExplainTest, RejectsUnknownShapeAndBadQuery) {

@@ -231,7 +231,7 @@ TEST(SelfCheckTest, InjectedBugsAreFoundShrunkAndReproducible) {
   Alphabet alphabet;
   const std::vector<SelfCheckReport> reports =
       RunSelfCheck(&alphabet, /*seed=*/1, /*max_cases=*/20000);
-  ASSERT_EQ(reports.size(), 3u);
+  ASSERT_EQ(reports.size(), 4u);
   for (const SelfCheckReport& report : reports) {
     SCOPED_TRACE(MutationToString(report.mutation));
     ASSERT_TRUE(report.found) << "not found in " << report.cases << " cases";

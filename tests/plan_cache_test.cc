@@ -74,8 +74,9 @@ int64_t WithinSetsComputed(exec::ExecEngine* engine,
 }
 
 TEST(PlanCacheTest, WithinBodySharedByTwoPlansIsComputedOncePerTree) {
-  // Two texts with different plans that share the body `<prec[b]>` under
-  // `W`. Each plan is interned privately when it is compiled, so the two
+  // Two texts with different plans that share the body `<desc[<anc[b]>]>`
+  // under `W` (its `anc` step leaves the window, so the body keeps its
+  // windowed pass). Each plan is interned privately when it is compiled, so the two
   // programs hold different copies of the body; the per-tree memo keys it
   // structurally, so the second text's run finds the first one's set.
   Alphabet alphabet;
@@ -85,9 +86,11 @@ TEST(PlanCacheTest, WithinBodySharedByTwoPlansIsComputedOncePerTree) {
   exec::ExecEngine engine(*shared_tree, &tree_cache);
   PlanCache cache;
   auto first =
-      cache.ParseCompiled("W(<prec[b]>) and a", &alphabet).ValueOrDie();
+      cache.ParseCompiled("W(<desc[<anc[b]>]>) and a", &alphabet)
+          .ValueOrDie();
   auto second =
-      cache.ParseCompiled("c or W(<prec[b]>)", &alphabet).ValueOrDie();
+      cache.ParseCompiled("c or W(<desc[<anc[b]>]>)", &alphabet)
+          .ValueOrDie();
   ASSERT_NE(first.program, second.program);
   ASSERT_EQ(first.program->within_bodies().size(), 1u);
   ASSERT_EQ(second.program->within_bodies().size(), 1u);
@@ -121,8 +124,9 @@ TEST(PlanCacheTest, ChurnKeepsWithinSetsAndBoundsTheProgramIndex) {
   std::vector<std::string> texts;
   std::vector<Bitset> expected;
   for (int i = 0; i < kTexts; ++i) {
-    // Distinct texts, plans and programs; `kBodies` distinct W bodies.
-    texts.push_back("W(<prec[l" + std::to_string(i % kBodies) +
+    // Distinct texts, plans and programs; `kBodies` distinct W bodies,
+    // each kept by its `desc/prec` step, which leaves the window.
+    texts.push_back("W(<desc/prec[l" + std::to_string(i % kBodies) +
                     "] | parent/child[a]>) and not x" + std::to_string(i));
     expected.push_back(
         Query::Parse(texts.back(), &alphabet).ValueOrDie().Select(*tree));

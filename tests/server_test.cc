@@ -608,13 +608,14 @@ TEST(ServerTest, SampledTraceKeepsAtMostTheSpanCap) {
   Loopback loop;
   BlockingClient client = loop.Connect();
 
-  // Distinct non-downward W bodies each miss every cache and open one
-  // eval.w_compute span under exec.eval: more spans than the cap allows.
+  // Distinct W bodies that leave their window each miss every cache and
+  // open one eval.w_compute span under exec.eval: more spans than the cap
+  // allows.
   constexpr int kBodies = obs::kMaxTraceSpans + 6;
   std::string query;
   for (int i = 0; i < kBodies; ++i) {
     if (i > 0) query += " or ";
-    query += "W(<anc[w" + std::to_string(i) + "]>)";
+    query += "W(<desc[<anc[w" + std::to_string(i) + "]>]>)";
   }
   auto resp = client.Query(query, {0}, EvalMode::kCount, 0,
                            server::kDialectXPath, 0xcab5ULL);
