@@ -164,26 +164,40 @@ TEST(ExecProgramTest, ValueNumberingEmitsEachInstructionOnce) {
 
 TEST(ExecProgramTest, ServingBenchmarkBatchTextsKeepTheirInstructionCounts) {
   // The big_batch texts of perfbench/, compiled as the server compiles
-  // them (parse, simplify, lower).
-  const std::pair<const char*, size_t> cases[] = {
-      {"<(child[not a])*[b]>", 7},
+  // them (parse, simplify, lower). `instrs` counts the top-level code and
+  // every `W` sub-program; `bodies` is within_bodies().size() and
+  // `dropped` the `W`s compiled without a window.
+  struct Case {
+    const char* text;
+    size_t instrs;
+    size_t bodies;
+    int dropped;
+  };
+  const Case cases[] = {
+      {"<(child[not a])*[b]>", 7, 0, 0},
       {"<(child[not (a and <child[b and <child[c]>]>)])*"
        "[d and <child[e and <child[f]>]>]>",
-       23},
-      {"<(parent)*[c]> and <(child)*[d]>", 8},
-      {"<(parent[not e])*[f]>", 7},
-      {"<(fsib)*[e]> or <(psib[f])*[g]>", 11},
-      {"<desc[a and <child[b]>]> and not <anc[c]>", 12},
-      {"<foll[g and <child[h]>]> or <prec[h]>", 10},
-      {"W(a or <prec[b]>) and <(child/child)*[g]>", 8},
+       23, 0, 0},
+      {"<(parent)*[c]> and <(child)*[d]>", 8, 0, 0},
+      {"<(parent[not e])*[f]>", 7, 0, 0},
+      {"<(fsib)*[e]> or <(psib[f])*[g]>", 11, 0, 0},
+      {"<desc[a and <child[b]>]> and not <anc[c]>", 12, 0, 0},
+      {"<foll[g and <child[h]>]> or <prec[h]>", 10, 0, 0},
+      {"W(a or <prec[b]>) and <(child/child)*[g]>", 8, 0, 1},
   };
   Alphabet alphabet;
   size_t total = 0;
-  for (const auto& [text, instrs] : cases) {
-    auto program = Program::Compile(SimplifyNode(N(text, &alphabet)));
-    EXPECT_EQ(program->code().size(), instrs)
-        << text << "\n" << program->ToString(alphabet);
-    total += program->code().size();
+  for (const Case& c : cases) {
+    auto program = Program::Compile(SimplifyNode(N(c.text, &alphabet)));
+    size_t instrs = program->code().size();
+    for (const exec::WithinBody& body : program->within_bodies()) {
+      instrs += body.program->code().size();
+    }
+    EXPECT_EQ(instrs, c.instrs)
+        << c.text << "\n" << program->ToString(alphabet);
+    EXPECT_EQ(program->within_bodies().size(), c.bodies) << c.text;
+    EXPECT_EQ(program->stats().windows_dropped, c.dropped) << c.text;
+    total += instrs;
   }
   EXPECT_EQ(total, 86u);
 }
