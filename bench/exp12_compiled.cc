@@ -32,7 +32,9 @@
 //    "downward": {"cases": [{"query": str, "rows": [{"n": int,
 //                 "interp_ms": f, "general_ms": f, "onepass_ms": f,
 //                 "onepass_ns_per_node": f, "match": bool}, ...]}, ...]},
-//    "adversarial": {...},
+//    "adversarial": {"query": str, "rows": [{"n": int, "interp_ms": f,
+//                    "general_ms": f, "onepass_ms": f, "hybrid_ms": f,
+//                    "fell_back": bool, "match": bool}, ...]},
 //    "confinement": {"rows": [{"query": str, "n": int,
 //                    "within_bodies": int, "windows_dropped": int,
 //                    "interp_ms": f, "compiled_ms": f, "speedup": f,
@@ -240,10 +242,12 @@ std::vector<DownwardCase> DownwardReport(bool* all_match) {
 // ---------------------------------------------------------------------------
 // Part 3: the adversarial regime — deep chains with a sparse star seed.
 //
-// `(child)*[b]` where only the deepest node is labelled b forces the
-// set-based fixpoint engines (interpreter and register machine alike)
-// through ~depth rounds of full-bitset work: Θ(n²/64). The one-pass sweep
-// is unconditionally linear, and `Eval`'s hybrid dispatch must detect the
+// `(child[not a])*[b]` on a chain of c's whose deepest node is labelled b
+// forces the set-based fixpoint engines (interpreter and register machine
+// alike) through ~depth rounds of full-bitset work: Θ(n²/64). The filter
+// keeps the star from collapsing to one closure kernel (a bare
+// `(child)*` lowers to a single kDescFill). The one-pass sweep is
+// unconditionally linear, and `Eval`'s hybrid dispatch must detect the
 // blown star-round budget and land there.
 
 struct AdversarialRow {
@@ -258,13 +262,14 @@ struct AdversarialRow {
 
 std::vector<AdversarialRow> AdversarialReport(bool* all_match) {
   std::printf("\nAdversarial deep chains, sparse star seed "
-              "(<(child)*[b]>, only the deepest node is b):\n");
+              "(<(child[not a])*[b]>, a chain of c's whose deepest node is "
+              "b):\n");
   bench::PrintRow({"n", "interp ms", "general ms", "one-pass ms",
                    "hybrid ms", "fell back", "match"});
   Alphabet alphabet;
-  const Symbol a = alphabet.Intern("a");
   const Symbol b = alphabet.Intern("b");
-  const std::string text = "<(child)*[b]>";
+  const Symbol c = alphabet.Intern("c");
+  const std::string text = "<(child[not a])*[b]>";
   NodePtr query = ParseNode(text, &alphabet).ValueOrDie();
   auto program = exec::Program::Compile(query);
   std::vector<int> sizes = {4000, 16000, 64000};
@@ -272,7 +277,7 @@ std::vector<AdversarialRow> AdversarialReport(bool* all_match) {
   std::vector<AdversarialRow> rows;
   for (int n : sizes) {
     TreeBuilder builder;
-    for (int i = 0; i < n; ++i) builder.Begin(i == n - 1 ? b : a);
+    for (int i = 0; i < n; ++i) builder.Begin(i == n - 1 ? b : c);
     for (int i = 0; i < n; ++i) builder.End();
     const Tree tree = std::move(builder).Finish().ValueOrDie();
     exec::ExecEngine engine(tree);
@@ -445,8 +450,8 @@ std::string SectionJson(const std::vector<DagResult>& dag, int dag_n,
     }
     os << "]}";
   }
-  os << "]}, \"adversarial\": {\"query\": \"(child)*[b] sparse chain\", "
-     << "\"rows\": [";
+  os << "]}, \"adversarial\": {\"query\": "
+     << "\"(child[not a])*[b] sparse chain\", \"rows\": [";
   for (size_t i = 0; i < adversarial.size(); ++i) {
     const AdversarialRow& row = adversarial[i];
     if (i > 0) os << ", ";

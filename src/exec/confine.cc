@@ -40,7 +40,16 @@ class Confiner {
 
   // Replaces each `W` under `node` by its confined form. Context-free: it
   // runs outside any window analysis, on the plan and on kept bodies.
+  //
+  // A node it rebuilds goes through the unique table (`Canon`), so a
+  // subexpression the plan shares is rebuilt as one node and lowered once.
   NodePtr Rewrite(const NodePtr& node) {
+    NodePtr result = RewriteNode(node);
+    return result == node ? result : Canon(std::move(result), &nodes_);
+  }
+
+ private:
+  NodePtr RewriteNode(const NodePtr& node) {
     switch (node->op) {
       case NodeOp::kLabel:
       case NodeOp::kTrue:
@@ -67,8 +76,12 @@ class Confiner {
     return node;
   }
 
- private:
   PathPtr Rewrite(const PathPtr& path) {
+    PathPtr result = RewritePath(path);
+    return result == path ? result : Canon(std::move(result), &paths_);
+  }
+
+  PathPtr RewritePath(const PathPtr& path) {
     switch (path->op) {
       case PathOp::kAxis:
         return path;
@@ -122,8 +135,17 @@ class Confiner {
     return !left_;
   }
 
-  // φ' for `node` evaluated at depths `at` of the window.
+  // φ' for `node` evaluated at depths `at` of the window. Results go
+  // through a unique table (`Canon`), so the analysis hands out one node
+  // per structure: a step it rebuilds in two places (say two stars whose
+  // bodies lost the same ∅ branch) is lowered once. Once the body leaves
+  // its window the result is discarded, so it is not recorded.
   NodePtr Node(const NodePtr& node, Depth at) {
+    NodePtr result = NodeAt(node, at);
+    return left_ ? result : Canon(std::move(result), &nodes_);
+  }
+
+  NodePtr NodeAt(const NodePtr& node, Depth at) {
     if (!Visit()) return node;
     switch (node->op) {
       case NodeOp::kLabel:
@@ -148,7 +170,9 @@ class Confiner {
       case NodeOp::kSome: {
         Depth out;
         PathPtr p = Path(node->path, at, &out);
-        if (p == nullptr) return MakeFalse();  // ⟨∅⟩ = false
+        if (p == nullptr) {  // ⟨∅⟩ = false, over the one `true` handed out
+          return MakeNot(Canon(MakeTrue(), &nodes_));
+        }
         return p == node->path ? node : MakeSome(std::move(p));
       }
       case NodeOp::kWithin:  // T|u ⊆ T|v: a nested W never leaves
@@ -158,8 +182,22 @@ class Confiner {
   }
 
   // p' for `path` leaving from depths `in`, or nullptr for ∅ (empty in
-  // the window); `*out` receives the targets' depths.
+  // the window); `*out` receives the targets' depths. As Node.
   PathPtr Path(const PathPtr& path, Depth in, Depth* out) {
+    PathPtr result = PathAt(path, in, out);
+    if (left_ || result == nullptr) return result;
+    return Canon(std::move(result), &paths_);
+  }
+
+  // The node of `e`'s structure handed out first. Its children were
+  // handed out already, so a shallow key decides.
+  template <typename Ptr>
+  static Ptr Canon(Ptr e,
+                   std::unordered_map<ShallowKey, Ptr, ShallowKeyHash>* table) {
+    return table->try_emplace(ShallowKeyOf(*e), std::move(e)).first->second;
+  }
+
+  PathPtr PathAt(const PathPtr& path, Depth in, Depth* out) {
     if (!Visit()) return path;
     switch (path->op) {
       case PathOp::kAxis:
@@ -273,6 +311,8 @@ class Confiner {
   ConfineRules rules_;
   std::vector<NodePtr>* dropped_;
   std::unordered_map<const NodeExpr*, NodePtr> memo_;  // W node → result
+  std::unordered_map<ShallowKey, NodePtr, ShallowKeyHash> nodes_;
+  std::unordered_map<ShallowKey, PathPtr, ShallowKeyHash> paths_;
   int64_t budget_ = kVisitBudget;
   bool left_ = false;  // the body under analysis leaves its window
 };

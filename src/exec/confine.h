@@ -32,9 +32,12 @@ enum class ConfineRules { kExact, kSiblingsAlwaysInside };
 ///
 /// The analysis visits at most a fixed budget of expression nodes per call
 /// (star fixpoints revisit their bodies); a body it has no budget left for
-/// keeps its `W`. Returns `plan` itself when nothing changes. Each dropped
-/// body (as it appears in `plan`, once per distinct `W` node) is appended
-/// to `dropped` when it is non-null.
+/// keeps its `W`. Returns `plan` itself when nothing changes. Every node
+/// the rewrite builds or the analysis returns goes through one unique
+/// table, so a hash-consed `plan` keeps its sharing and `Program::Compile`
+/// lowers a repeated rewritten step once. Each dropped body (as it appears
+/// in `plan`, once per distinct `W` node) is appended to `dropped` when it
+/// is non-null.
 NodePtr ConfineWindows(const NodePtr& plan,
                        ConfineRules rules = ConfineRules::kExact,
                        std::vector<NodePtr>* dropped = nullptr);

@@ -16,7 +16,6 @@
 #include "exec/confine.h"
 #include "xpath/axis_kernels.h"
 #include "xpath/fragment.h"
-#include "xpath/intern.h"
 
 namespace xptc {
 namespace exec {
@@ -38,8 +37,8 @@ Op ClosureOpFor(Axis closure) {
 // ---------------------------------------------------------------------------
 // Lowering: NodeExpr DAG -> flat instruction sequences (SSA virtual regs).
 //
-// The plan is hash-consed before lowering, so pointer-keyed memos collapse
-// every repeated subexpression onto one instruction. Node-expression
+// Memos are keyed by node address, so a hash-consed plan (Query::plan())
+// has every repeated subexpression lowered once. Node-expression
 // results are context-free, so they are always emitted into the top-level
 // sequence — in particular filter predicates are hoisted out of star loop
 // bodies and computed once. Star bodies are lowered into their own
@@ -550,18 +549,14 @@ std::shared_ptr<Program> Program::Lower(const NodePtr& plan,
 
 std::shared_ptr<const Program> Program::Compile(const NodePtr& query) {
   XPTC_CHECK(query != nullptr);
-  // A private interner: collapses repeated subexpressions of *this* query.
-  // Programs are shared across queries by PlanCache's structural index.
-  ExprInterner interner;
-  const NodePtr plan = interner.Intern(query);
-  // Confinement runs on the interned plan, so a W repeated in the query is
-  // analysed once; its output is interned again for the lowering memos.
+  // Confinement keeps the input's sharing (exec/confine.h), so a W that
+  // the plan shares is analysed once and lowered once.
   std::vector<NodePtr> dropped;
-  NodePtr lowered = ConfineWindows(plan, ConfineRules::kExact, &dropped);
-  if (lowered != plan) lowered = interner.Intern(lowered);
+  const NodePtr lowered =
+      ConfineWindows(query, ConfineRules::kExact, &dropped);
   WithinTable table;
   std::shared_ptr<Program> program = Lower(lowered, &table);
-  program->plan_ = plan;
+  program->plan_ = query;
   program->within_bodies_ = std::move(table.bodies);
   CompileStats& stats = program->stats_;
   stats.ast_nodes = NodeSize(*query);

@@ -69,7 +69,7 @@ class Program;
 /// engines' `W` memos (the per-tree `TreeCache` and the engine-local one),
 /// so a lookup hashes nothing.
 struct WithinBody {
-  NodePtr body;                            // interned body expression
+  NodePtr body;                            // body expression, as compiled
   size_t hash = 0;                         // NodeHash(*body)
   std::shared_ptr<const Program> program;  // runs the body over one T|v
   std::vector<int> deps;  // the bodies its kWithin instructions read
@@ -89,12 +89,11 @@ struct CompileStats {
 /// A compiled query plan: the result of lowering a `NodeExpr` DAG into a
 /// flat, topologically ordered instruction sequence over bitset registers.
 ///
-///  - The expression is hash-consed first by a private, per-call interner
-///    (xpath/intern.h; the only interner in the system), so every
-///    structurally distinct subexpression — even when the source AST
-///    repeats it — is computed by exactly one instruction. Nothing is
-///    interned across plans: `PlanCache` shares programs between texts by
-///    a structural key on `plan()`.
+///  - The input is compiled as given, with no simplifier rule. Lowering
+///    memos are keyed by node address, so a hash-consed input (every
+///    `Query::plan()`) has each structurally distinct subexpression
+///    computed by exactly one instruction. `PlanCache` shares programs
+///    between texts by a structural key on `plan()`.
 ///  - Two fixed rules shape the code as it is emitted: a `not ψ` operand of
 ///    `and`/`or` (or of a filter) fuses into kAndNot/kOrNot over ψ's
 ///    register, so a kNot appears only when its value is read as such; and
@@ -123,7 +122,12 @@ struct CompileStats {
 /// state (the register file) lives in `ExecEngine`.
 class Program {
  public:
-  /// Lowers `query` (any Regular XPath(W) node expression) into a program.
+  /// Lowers `query` (any Regular XPath(W) node expression) into a program,
+  /// as given. Pass a hash-consed plan (`Query::plan()`): a raw tree, such
+  /// as a parse tree, is lowered correctly, but a star or `W` body it
+  /// repeats is lowered once per occurrence (a repeated `W` body becomes
+  /// one sub-program and one windowed pass per occurrence). Repeated pure
+  /// instructions are still shared by value numbering.
   static std::shared_ptr<const Program> Compile(const NodePtr& query);
 
   const std::vector<Instr>& code() const { return code_; }
@@ -132,7 +136,7 @@ class Program {
   int result_reg() const { return result_reg_; }
   const CompileStats& stats() const { return stats_; }
 
-  /// The hash-consed input plan, before `W` confinement. Its structure
+  /// The input plan, before `W` confinement. Its structure
   /// (NodeHash/NodeEquals) is the program's identity in `PlanCache`.
   const NodePtr& plan() const { return plan_; }
 
@@ -165,8 +169,8 @@ class Program {
 
   Program() = default;
 
-  /// Lowers the interned `plan` into code and registers; `W` bodies met on
-  /// the way are lowered first and appended to `table`.
+  /// Lowers `plan` into code and registers; `W` bodies met on the way are
+  /// lowered first and appended to `table`.
   static std::shared_ptr<Program> Lower(const NodePtr& plan,
                                         WithinTable* table);
   std::string CodeToString(const Alphabet& alphabet,

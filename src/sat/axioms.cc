@@ -1,5 +1,9 @@
 #include "sat/axioms.h"
 
+#include <string>
+#include <tuple>
+#include <utility>
+
 namespace xptc {
 
 namespace {
@@ -356,6 +360,91 @@ std::vector<AxiomScheme> BuildSchemes() {
   node_scheme("within-root", "W(root) == true", 0, 0,
               [](const Paths&, const Nodes&) {
                 return std::pair(MakeWithin(MakeRootTest()), MakeTrue());
+              });
+
+  // --- The simplifier's rules (xpath/rewrite.cc names each scheme) ---------
+  // A star of an axis whose reflexive-transitive closure is again an axis.
+  for (const auto& [axis, star] :
+       {std::pair{Axis::kChild, Axis::kDescendantOrSelf},
+        std::pair{Axis::kDescendant, Axis::kDescendantOrSelf},
+        std::pair{Axis::kDescendantOrSelf, Axis::kDescendantOrSelf},
+        std::pair{Axis::kParent, Axis::kAncestorOrSelf},
+        std::pair{Axis::kAncestor, Axis::kAncestorOrSelf},
+        std::pair{Axis::kAncestorOrSelf, Axis::kAncestorOrSelf},
+        std::pair{Axis::kSelf, Axis::kSelf}}) {
+    const std::string name = AxisToString(axis);
+    path_scheme("star-" + name, name + "* == " + AxisToString(star), 0, 0,
+                [axis, star](const Paths&, const Nodes&) {
+                  return std::pair(MakeStar(MakeAxis(axis)), MakeAxis(star));
+                });
+  }
+  // Compositions of two axes that are again an axis (child/dos == desc is
+  // `desc-decompose` above).
+  for (const auto& [name, a, b, ab] :
+       {std::tuple{"dos-child", Axis::kDescendantOrSelf, Axis::kChild,
+                   Axis::kDescendant},
+        std::tuple{"parent-aos", Axis::kParent, Axis::kAncestorOrSelf,
+                   Axis::kAncestor},
+        std::tuple{"aos-parent", Axis::kAncestorOrSelf, Axis::kParent,
+                   Axis::kAncestor},
+        std::tuple{"dos-dos", Axis::kDescendantOrSelf,
+                   Axis::kDescendantOrSelf, Axis::kDescendantOrSelf},
+        std::tuple{"aos-aos", Axis::kAncestorOrSelf, Axis::kAncestorOrSelf,
+                   Axis::kAncestorOrSelf}}) {
+    path_scheme(name,
+                std::string(AxisToString(a)) + "/" + AxisToString(b) +
+                    " == " + AxisToString(ab),
+                0, 0, [a, b, ab](const Paths&, const Nodes&) {
+                  return std::pair(MakeSeq(MakeAxis(a), MakeAxis(b)),
+                                   MakeAxis(ab));
+                });
+  }
+  // Reflexive relations have a total domain.
+  for (const Axis axis :
+       {Axis::kSelf, Axis::kDescendantOrSelf, Axis::kAncestorOrSelf}) {
+    const std::string name = AxisToString(axis);
+    node_scheme("some-" + name, "<" + name + "> == true", 0, 0,
+                [axis](const Paths&, const Nodes&) {
+                  return std::pair(MakeSome(MakeAxis(axis)), MakeTrue());
+                });
+  }
+  node_scheme("some-star", "<A*> == true", 1, 0,
+              [](const Paths& p, const Nodes&) {
+                return std::pair(MakeSome(MakeStar(p[0])), MakeTrue());
+              });
+  // Boolean units, zeros, idempotence; commutativity covers the mirrored
+  // forms the simplifier also folds.
+  node_scheme("and-comm", "phi and psi == psi and phi", 0, 2,
+              [](const Paths&, const Nodes& n) {
+                return std::pair(MakeAnd(n[0], n[1]), MakeAnd(n[1], n[0]));
+              });
+  node_scheme("or-comm", "phi or psi == psi or phi", 0, 2,
+              [](const Paths&, const Nodes& n) {
+                return std::pair(MakeOr(n[0], n[1]), MakeOr(n[1], n[0]));
+              });
+  node_scheme("and-true-unit", "phi and true == phi", 0, 1,
+              [](const Paths&, const Nodes& n) {
+                return std::pair(MakeAnd(n[0], MakeTrue()), n[0]);
+              });
+  node_scheme("and-false-zero", "phi and false == false", 0, 1,
+              [](const Paths&, const Nodes& n) {
+                return std::pair(MakeAnd(n[0], MakeFalse()), MakeFalse());
+              });
+  node_scheme("or-true-zero", "phi or true == true", 0, 1,
+              [](const Paths&, const Nodes& n) {
+                return std::pair(MakeOr(n[0], MakeTrue()), MakeTrue());
+              });
+  node_scheme("or-false-unit", "phi or false == phi", 0, 1,
+              [](const Paths&, const Nodes& n) {
+                return std::pair(MakeOr(n[0], MakeFalse()), n[0]);
+              });
+  node_scheme("and-idem", "phi and phi == phi", 0, 1,
+              [](const Paths&, const Nodes& n) {
+                return std::pair(MakeAnd(n[0], n[0]), n[0]);
+              });
+  node_scheme("or-idem", "phi or phi == phi", 0, 1,
+              [](const Paths&, const Nodes& n) {
+                return std::pair(MakeOr(n[0], n[0]), n[0]);
               });
 
   return schemes;

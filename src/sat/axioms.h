@@ -39,7 +39,9 @@ struct AxiomScheme {
 
 /// The corpus: idempotent-semiring laws, predicate laws, node/boolean laws,
 /// star laws, well-foundedness (Löb), sibling/parent functionality, tree
-/// interaction laws, and W laws.
+/// interaction laws, and W laws. Every rule of the simplifier
+/// (xpath/rewrite.cc) is one of these schemes, oriented left to right or
+/// right to left, and names it in a comment.
 const std::vector<AxiomScheme>& CoreXPathAxiomSchemes();
 
 }  // namespace xptc

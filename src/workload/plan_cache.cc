@@ -35,9 +35,7 @@ inline size_t HashCombine(size_t seed, size_t value) {
 
 size_t PlanCache::KeyHash::operator()(const Key& key) const {
   size_t h = std::hash<std::string>()(key.text);
-  h = HashCombine(h, reinterpret_cast<size_t>(key.alphabet));
-  h = HashCombine(h, key.optimize ? 1u : 0u);
-  return h;
+  return HashCombine(h, reinterpret_cast<size_t>(key.alphabet));
 }
 
 PlanCache::PlanCache(size_t capacity) : capacity_(capacity) {
@@ -173,9 +171,8 @@ Result<PlanCache::CompiledQuery> PlanCache::Lookup(const Key& key,
     std::lock_guard<std::mutex> lock(alphabet_mu_);
     XPTC_ASSIGN_OR_RETURN(parsed, ParseNode(key.text, alphabet));
   }
-  NodePtr plan = key.optimize ? SimplifyNode(parsed) : parsed;
   auto query = std::shared_ptr<const Query>(
-      new Query(std::move(parsed), std::move(plan)));
+      new Query(parsed, SimplifyNode(parsed)));
 
   std::lock_guard<std::mutex> lock(mu_);
   auto raced = index_.find(key);
@@ -193,17 +190,15 @@ Result<PlanCache::CompiledQuery> PlanCache::Lookup(const Key& key,
 }
 
 Result<std::shared_ptr<const Query>> PlanCache::Parse(const std::string& text,
-                                                      Alphabet* alphabet,
-                                                      bool optimize) {
+                                                      Alphabet* alphabet) {
   XPTC_ASSIGN_OR_RETURN(CompiledQuery out,
-                        Lookup(Key{alphabet, optimize, NormaliseText(text)},
-                               alphabet));
+                        Lookup(Key{alphabet, NormaliseText(text)}, alphabet));
   return std::move(out.query);
 }
 
 Result<PlanCache::CompiledQuery> PlanCache::ParseCompiled(
-    const std::string& text, Alphabet* alphabet, bool optimize) {
-  const Key key{alphabet, optimize, NormaliseText(text)};
+    const std::string& text, Alphabet* alphabet) {
+  const Key key{alphabet, NormaliseText(text)};
   XPTC_ASSIGN_OR_RETURN(CompiledQuery out, Lookup(key, alphabet));
   if (out.program != nullptr) {
     // A text hit whose entry already carries its program.

@@ -20,21 +20,21 @@ namespace xptc {
 /// compiled programs.
 ///
 /// A serving workload re-parses the same query texts endlessly; a cache hit
-/// turns `Query::Parse` (lexing + parsing + simplifier fixpoint) into one
-/// hash lookup. Entries are keyed on (alphabet identity, normalised text,
-/// optimize flag) — normalisation is surrounding-whitespace stripping, so
-/// `" <child[a]> "` and `"<child[a]>"` share a plan. The stored `Query` is
-/// immutable and handed out by shared_ptr, safe to evaluate concurrently
-/// from any number of workers. Dialects are classified per the engine
-/// policy (plan dialect + source dialect) and come along with the cached
-/// `Query`.
+/// turns `Query::Parse` (lexing, parsing and the one-pass hash-consing
+/// simplifier) into one hash lookup. Entries are keyed on (alphabet
+/// identity, normalised text) — normalisation is surrounding-whitespace
+/// stripping, so `" <child[a]> "` and `"<child[a]>"` share a plan. The
+/// stored `Query` is immutable and handed out by shared_ptr, safe to
+/// evaluate concurrently from any number of workers. Dialects are
+/// classified per the engine policy (plan dialect + source dialect) and
+/// come along with the cached `Query`.
 ///
 /// Compiled programs are shared *structurally*: a per-alphabet index maps
 /// `NodeHash(plan)` to the plans already lowered, matched with `NodeEquals`,
 /// so two different texts that simplify to the same plan lower once (the
-/// second is a program hit although it was a text miss). No interning is
-/// shared between plans — each `Program::Compile` interns its own plan
-/// privately, and the per-tree `W` memo (`TreeCache`) keys bodies
+/// second is a program hit although it was a text miss). Nothing is
+/// hash-consed across plans — each plan is hash-consed by its own
+/// simplifier call, and the per-tree `W` memo (`TreeCache`) keys bodies
 /// structurally too — so a miss does no work under the cache lock beyond
 /// the index lookups and inserts.
 ///
@@ -86,10 +86,9 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Cached equivalent of `Query::Parse(text, alphabet, optimize)`.
+  /// Cached equivalent of `Query::Parse(text, alphabet)`.
   Result<std::shared_ptr<const Query>> Parse(const std::string& text,
-                                             Alphabet* alphabet,
-                                             bool optimize = true);
+                                             Alphabet* alphabet);
 
   /// `Parse` plus a compiled bytecode program for the plan (the compiled
   /// execution backend's entry point). Programs are cached keyed by plan
@@ -99,8 +98,7 @@ class PlanCache {
   /// further lookup; eviction releases it, but handed-out `CompiledQuery`s
   /// keep theirs alive (shared_ptr).
   Result<CompiledQuery> ParseCompiled(const std::string& text,
-                                      Alphabet* alphabet,
-                                      bool optimize = true);
+                                      Alphabet* alphabet);
 
   /// Drops every cached plan and program belonging to `alphabet`.
   /// Call before destroying an alphabet the cache has seen (see class
@@ -126,12 +124,10 @@ class PlanCache {
  private:
   struct Key {
     const Alphabet* alphabet;
-    bool optimize;
     std::string text;  // normalised
 
     bool operator==(const Key& other) const {
-      return alphabet == other.alphabet && optimize == other.optimize &&
-             text == other.text;
+      return alphabet == other.alphabet && text == other.text;
     }
   };
   struct KeyHash {

@@ -33,7 +33,7 @@ namespace xptc {
 /// wasted cycles, never wrong answers.
 ///
 /// `W` results are keyed *structurally* (NodeHash/NodeEquals), not by
-/// pointer: every plan is interned privately when it is compiled, so two
+/// pointer: every plan is hash-consed by its own simplifier call, so two
 /// queries that share a body hold two structurally equal copies, and both
 /// hit the one entry. This is the only `W` memo in front of the bottom-up
 /// pass for engines attached to the tree — an engine keeps no L1 of its

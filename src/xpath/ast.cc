@@ -471,6 +471,24 @@ size_t PathHash(const PathExpr& path) {
   return h;
 }
 
+ShallowKey ShallowKeyOf(const PathExpr& path) {
+  return ShallowKey{static_cast<int>(path.op), static_cast<int>(path.axis),
+                    path.left.get(), path.right.get(), path.pred.get()};
+}
+
+ShallowKey ShallowKeyOf(const NodeExpr& node) {
+  return ShallowKey{static_cast<int>(node.op), static_cast<int>(node.label),
+                    node.left.get(), node.right.get(), node.path.get()};
+}
+
+size_t ShallowKeyHash::operator()(const ShallowKey& key) const {
+  size_t h = CombineHash(static_cast<size_t>(key.op),
+                         static_cast<size_t>(key.tag));
+  h = CombineHash(h, reinterpret_cast<size_t>(key.a));
+  h = CombineHash(h, reinterpret_cast<size_t>(key.b));
+  return CombineHash(h, reinterpret_cast<size_t>(key.c));
+}
+
 size_t NodeHash(const NodeExpr& node) {
   size_t h = CombineHash(0x9e3779b9u, static_cast<size_t>(node.op));
   switch (node.op) {

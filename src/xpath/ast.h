@@ -157,6 +157,23 @@ bool NodeEquals(const NodeExpr& a, const NodeExpr& b);
 size_t PathHash(const PathExpr& path);
 size_t NodeHash(const NodeExpr& node);
 
+/// An expression's own fields (op, axis or label) with its children by
+/// address. Over hash-consed children, equal keys mean structurally equal
+/// expressions, so a unique table keys on it and hashes O(1) per node.
+struct ShallowKey {
+  int op;
+  int tag;  // PathExpr::axis or NodeExpr::label
+  const void* a;
+  const void* b;
+  const void* c;
+  bool operator==(const ShallowKey&) const = default;
+};
+ShallowKey ShallowKeyOf(const PathExpr& path);
+ShallowKey ShallowKeyOf(const NodeExpr& node);
+struct ShallowKeyHash {
+  size_t operator()(const ShallowKey& key) const;
+};
+
 /// Pretty-printers producing the concrete syntax accepted by the parser
 /// (round-trip safe).
 std::string PathToString(const PathExpr& path, const Alphabet& alphabet);

@@ -6,15 +6,13 @@
 
 namespace xptc {
 
-Result<Query> Query::Parse(const std::string& text, Alphabet* alphabet,
-                           bool optimize) {
+Result<Query> Query::Parse(const std::string& text, Alphabet* alphabet) {
   XPTC_ASSIGN_OR_RETURN(NodePtr expr, ParseNode(text, alphabet));
-  return FromExpr(std::move(expr), optimize);
+  return FromExpr(std::move(expr));
 }
 
-Query Query::FromExpr(NodePtr expr, bool optimize) {
-  NodePtr optimized = optimize ? SimplifyNode(expr) : expr;
-  return Query(std::move(expr), std::move(optimized));
+Query Query::FromExpr(NodePtr expr) {
+  return Query(expr, SimplifyNode(expr));
 }
 
 Bitset Query::Select(const Tree& tree) const {
@@ -35,14 +33,13 @@ std::string Query::ToString(const Alphabet& alphabet) const {
 }
 
 Result<PathQuery> PathQuery::Parse(const std::string& text,
-                                   Alphabet* alphabet, bool optimize) {
+                                   Alphabet* alphabet) {
   XPTC_ASSIGN_OR_RETURN(PathPtr expr, ParsePath(text, alphabet));
-  return FromExpr(std::move(expr), optimize);
+  return FromExpr(std::move(expr));
 }
 
-PathQuery PathQuery::FromExpr(PathPtr expr, bool optimize) {
-  PathPtr optimized = optimize ? SimplifyPath(expr) : expr;
-  return PathQuery(std::move(expr), std::move(optimized));
+PathQuery PathQuery::FromExpr(PathPtr expr) {
+  return PathQuery(expr, SimplifyPath(expr));
 }
 
 std::vector<NodeId> PathQuery::From(const Tree& tree, NodeId context) const {

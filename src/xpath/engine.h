@@ -16,8 +16,8 @@ namespace xptc {
 
 class PlanCache;  // workload/plan_cache.h
 
-/// High-level façade over the node-expression pipeline: parse → classify →
-/// (optionally) simplify → evaluate. The typical entry point for library
+/// High-level façade over the node-expression pipeline: parse → simplify →
+/// classify → evaluate. The typical entry point for library
 /// users who just want answers:
 ///
 ///   XPTC_ASSIGN_OR_RETURN(Query q,
@@ -28,12 +28,12 @@ class PlanCache;  // workload/plan_cache.h
 /// alphabet.
 class Query {
  public:
-  /// Parses and (by default) simplifies a node-expression query.
-  static Result<Query> Parse(const std::string& text, Alphabet* alphabet,
-                             bool optimize = true);
+  /// Parses and simplifies a node-expression query.
+  static Result<Query> Parse(const std::string& text, Alphabet* alphabet);
 
-  /// Wraps an existing expression.
-  static Query FromExpr(NodePtr expr, bool optimize = true);
+  /// Wraps an existing expression; the plan is its simplified,
+  /// hash-consed form (xpath/rewrite.h).
+  static Query FromExpr(NodePtr expr);
 
   /// The expression as written and the expression as executed.
   const NodePtr& expr() const { return original_; }
@@ -75,7 +75,7 @@ class Query {
   std::string ToString(const Alphabet& alphabet) const;
 
  private:
-  friend class PlanCache;  // builds Queries from pre-interned parts
+  friend class PlanCache;  // parses under its own lock, then simplifies
 
   Query(NodePtr original, NodePtr optimized)
       : original_(std::move(original)),
@@ -93,9 +93,8 @@ class Query {
 /// nodes.
 class PathQuery {
  public:
-  static Result<PathQuery> Parse(const std::string& text, Alphabet* alphabet,
-                                 bool optimize = true);
-  static PathQuery FromExpr(PathPtr expr, bool optimize = true);
+  static Result<PathQuery> Parse(const std::string& text, Alphabet* alphabet);
+  static PathQuery FromExpr(PathPtr expr);
 
   const PathPtr& expr() const { return original_; }
   const PathPtr& plan() const { return optimized_; }

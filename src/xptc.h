@@ -40,7 +40,6 @@
 #include "workload/plan_cache.h"
 #include "workload/tree_cache.h"
 #include "xpath/ast.h"
-#include "xpath/intern.h"
 #include "xpath/engine.h"
 #include "xpath/eval.h"
 #include "xpath/eval_naive.h"

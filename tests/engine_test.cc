@@ -37,13 +37,9 @@ TEST_F(EngineTest, QueryParseErrorsPropagate) {
 }
 
 TEST_F(EngineTest, OptimizationIsTransparent) {
-  Query raw =
-      Query::Parse("<dos/dos[d and true]>", &alphabet_, /*optimize=*/false)
-          .ValueOrDie();
   Query opt = Query::Parse("<dos/dos[d and true]>", &alphabet_).ValueOrDie();
   EXPECT_EQ(opt.ToString(alphabet_), "<dos[d]>");
-  EXPECT_GT(NodeSize(*raw.plan()), NodeSize(*opt.plan()));
-  EXPECT_EQ(raw.Select(tree_), opt.Select(tree_));
+  EXPECT_GT(NodeSize(*opt.expr()), NodeSize(*opt.plan()));
   // The original expression is preserved alongside the plan.
   EXPECT_NE(NodeToString(*opt.expr(), alphabet_),
             NodeToString(*opt.plan(), alphabet_));
@@ -58,12 +54,6 @@ TEST_F(EngineTest, DialectReflectsPlanSourceDialectReflectsText) {
   Query w = Query::Parse("W(<desc[a]>)", &alphabet_).ValueOrDie();
   EXPECT_EQ(w.source_dialect(), Dialect::kRegularXPathW);
   EXPECT_EQ(w.dialect(), Dialect::kCoreXPath);
-
-  // Unoptimized: plan == text, so the two dialects coincide.
-  Query raw = Query::Parse("W(<desc[a]>)", &alphabet_, /*optimize=*/false)
-                  .ValueOrDie();
-  EXPECT_EQ(raw.dialect(), Dialect::kRegularXPathW);
-  EXPECT_EQ(raw.source_dialect(), Dialect::kRegularXPathW);
 
   // A W that simplification cannot remove stays Regular XPath(W) in both.
   Query hard = Query::Parse("W(<anc[a]>)", &alphabet_).ValueOrDie();
@@ -91,10 +81,6 @@ TEST_F(EngineTest, PathQueryDialectFollowsSamePolicy) {
   PathQuery core = PathQuery::Parse("child/desc[d]", &alphabet_).ValueOrDie();
   EXPECT_EQ(core.dialect(), Dialect::kCoreXPath);
   EXPECT_EQ(core.source_dialect(), Dialect::kCoreXPath);
-
-  PathQuery raw = PathQuery::Parse("(child)*", &alphabet_, /*optimize=*/false)
-                      .ValueOrDie();
-  EXPECT_EQ(raw.dialect(), raw.source_dialect());
 }
 
 TEST_F(EngineTest, PathQueryNavigation) {

@@ -622,8 +622,8 @@ TEST(ExecConfineTest, PlanStaysTheInputAndADownwardResultSweeps) {
 }
 
 TEST(ExecConfineTest, BodyPastTheVisitBudgetKeepsItsWindow) {
-  // A balanced conjunction of 2^k copies of `a` interns to a k-deep DAG,
-  // but the analysis walks its unfolding: at k = 19 that is past the
+  // A balanced conjunction of 2^k copies of `a`, built as a k-deep DAG;
+  // the analysis walks its unfolding: at k = 19 that is past the
   // 2^18-visit budget, so the (confined) body keeps its W; at k = 10 it
   // is dropped. Both answer `a`.
   Alphabet alphabet;

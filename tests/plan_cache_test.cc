@@ -19,7 +19,6 @@
 #include "workload/tree_cache.h"
 #include "xpath/ast.h"
 #include "xpath/fragment.h"
-#include "xpath/intern.h"
 #include "xpath/parser.h"
 
 namespace xptc {
@@ -214,17 +213,6 @@ TEST(PlanCacheTest, ParseErrorsAreNotCached) {
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
-TEST(PlanCacheTest, UnoptimizedAndOptimizedAreDistinctEntries) {
-  Alphabet alphabet;
-  PlanCache cache;
-  auto opt = cache.Parse("W(<desc[a]>)", &alphabet).ValueOrDie();
-  auto raw = cache.Parse("W(<desc[a]>)", &alphabet, /*optimize=*/false)
-                 .ValueOrDie();
-  EXPECT_NE(opt.get(), raw.get());
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(raw->dialect(), raw->source_dialect());
-}
-
 TEST(PlanCacheTest, ConcurrentParsesAreSafeAndConverge) {
   // Many threads hammering the same small text set: no crashes, no torn
   // stats, and afterwards each text resolves to one stable plan.
@@ -332,64 +320,6 @@ TEST(PlanCacheTest, PurgeDropsAlphabetEntriesAndPrograms) {
   EXPECT_NE(reparsed, nullptr);
   // The surviving alphabet still hits the very same plan object.
   EXPECT_EQ(cache.Parse("<child[a]>", &keep).ValueOrDie().get(), kept.get());
-}
-
-TEST(ExprInternerTest, InternsStructurallyEqualTrees) {
-  Alphabet alphabet;
-  ExprInterner interner;
-  NodePtr a = ParseNode("<child[a]> and <desc[b]>", &alphabet).ValueOrDie();
-  NodePtr b = ParseNode("<child[a]> and <desc[b]>", &alphabet).ValueOrDie();
-  ASSERT_NE(a.get(), b.get());  // parser does not hash-cons
-  NodePtr ia = interner.Intern(a);
-  NodePtr ib = interner.Intern(b);
-  EXPECT_EQ(ia.get(), ib.get());
-  // Idempotent: interning an interned expression is the identity.
-  EXPECT_EQ(interner.Intern(ia).get(), ia.get());
-}
-
-TEST(ExprInternerTest, SharesSubtreesAcrossDifferentRoots) {
-  Alphabet alphabet;
-  ExprInterner interner;
-  NodePtr conj =
-      interner.Intern(ParseNode("<child[a]> and b", &alphabet).ValueOrDie());
-  NodePtr disj =
-      interner.Intern(ParseNode("<child[a]> or c", &alphabet).ValueOrDie());
-  EXPECT_EQ(conj->left.get(), disj->left.get());
-  EXPECT_NE(conj.get(), disj.get());
-}
-
-TEST(ExprInternerTest, InternsPathsIncludingPredicates) {
-  Alphabet alphabet;
-  ExprInterner interner;
-  PathPtr p1 =
-      interner.Intern(ParsePath("(child[a])*", &alphabet).ValueOrDie());
-  PathPtr p2 =
-      interner.Intern(ParsePath("(child[a])*", &alphabet).ValueOrDie());
-  EXPECT_EQ(p1.get(), p2.get());
-}
-
-TEST(ExprInternerTest, InternDoesNotHoldItsInput) {
-  // The input memo lives for one call: once Intern returns, a fresh input
-  // whose class already has a canonical is owned by its caller alone.
-  Alphabet alphabet;
-  ExprInterner interner;
-  NodePtr kept = interner.Intern(
-      ParseNode("<child[a]> and not b", &alphabet).ValueOrDie());
-  NodePtr input = ParseNode("<child[a]> and not b", &alphabet).ValueOrDie();
-  EXPECT_EQ(interner.Intern(input).get(), kept.get());
-  EXPECT_EQ(input.use_count(), 1);
-}
-
-TEST(ExprInternerTest, SharedInputIsInternedOnce) {
-  // A DAG input whose tree unfolding is 2^64 nodes: the per-call memo
-  // visits each shared node once, so interning stays linear in the DAG.
-  Alphabet alphabet;
-  ExprInterner interner;
-  NodePtr dag = MakeLabel(alphabet.Intern("a"));
-  for (int i = 0; i < 64; ++i) dag = MakeAnd(dag, dag);
-  NodePtr canonical = interner.Intern(dag);
-  EXPECT_EQ(interner.unique_nodes(), 65u);
-  EXPECT_EQ(canonical->left.get(), canonical->right.get());
 }
 
 }  // namespace

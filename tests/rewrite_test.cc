@@ -99,9 +99,9 @@ TEST(RewriteTest, SimplifierIsIdempotent) {
 }
 
 TEST(RewriteTest, SimplifyingASimplifiedExpressionReturnsIt) {
-  // Copy-on-change: a pass over an expression no rule changes rebuilds
-  // nothing, so re-simplifying a simplified plan hands back the very same
-  // object (no allocation, and pointer-keyed memos stay warm).
+  // A constructor no rule fires on keeps its input node when the children
+  // came back unchanged, so re-simplifying a simplified plan hands back
+  // the very same object (pointer-keyed memos stay warm).
   Alphabet alphabet;
   Rng rng(13);
   const std::vector<Symbol> labels = DefaultLabels(&alphabet, 3);
@@ -113,6 +113,51 @@ TEST(RewriteTest, SimplifyingASimplifiedExpressionReturnsIt) {
     PathPtr p = SimplifyPath(GeneratePath(options, labels, &rng));
     EXPECT_EQ(SimplifyPath(p).get(), p.get()) << PathToString(*p, alphabet);
   }
+}
+
+TEST(RewriteTest, StructurallyEqualSubexpressionsArePointerEqual) {
+  // One call hash-conses its whole output: repeats in the input, and
+  // repeats a rule creates, come back as one shared node.
+  Alphabet alphabet;
+  NodePtr n = SimplifyNode(
+      N("(<child[a]> and <desc[b]>) or (<child[a]> and c)", &alphabet));
+  ASSERT_EQ(n->op, NodeOp::kOr);
+  EXPECT_EQ(n->left->left.get(), n->right->left.get());
+  PathPtr p = SimplifyPath(P("(child[a])*/(child[a])*", &alphabet));
+  ASSERT_EQ(p->op, PathOp::kSeq);
+  EXPECT_EQ(p->left.get(), p->right.get());
+  // `a and a` is recognised on canonical (pointer-equal) operands.
+  EXPECT_EQ(NodeToString(*SimplifyNode(N("<child[a and b]> and "
+                                         "<child[a and b]>",
+                                         &alphabet)),
+                         alphabet),
+            "<child[a and b]>");
+}
+
+TEST(RewriteTest, SharedInputIsSimplifiedOnce) {
+  // A DAG input whose tree unfolding is 2^64 nodes: a shared input node
+  // is walked once per call, so simplifying stays linear in the DAG.
+  Alphabet alphabet;
+  NodePtr dag = MakeLabel(alphabet.Intern("a"));
+  for (int i = 0; i < 64; ++i) dag = MakeAnd(dag, MakeNot(dag));
+  NodePtr n = SimplifyNode(dag);
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_EQ(n->op, NodeOp::kAnd);
+    EXPECT_EQ(n->left.get(), n->right->left.get());
+    n = n->left;
+  }
+  EXPECT_EQ(n->op, NodeOp::kLabel);
+}
+
+TEST(RewriteTest, SimplifyDoesNotHoldItsInput) {
+  // The unique table and the memo live for one call: once it returns, an
+  // input the rules replaced is owned by its caller alone.
+  Alphabet alphabet;
+  NodePtr input = N("not not (<child[a]> and b)", &alphabet);
+  NodePtr out = SimplifyNode(input);
+  EXPECT_EQ(out.get(), input->left->left.get());
+  EXPECT_EQ(input.use_count(), 1);
+  EXPECT_EQ(input->left.use_count(), 1);
 }
 
 TEST(RewriteTest, SimplifierNeverGrowsExpressions) {
