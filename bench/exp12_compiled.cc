@@ -234,8 +234,8 @@ std::vector<DownwardCase> DownwardReport(bool* all_match) {
   }
   std::printf("\nExpected shape: the one-pass ns/node column stays flat as "
               "n grows 16x — T2's linear combined complexity realised as a "
-              "single bottom-up sweep (%d-ish word-ops per node, no "
-              "fixpoint iteration).\n", 32);
+              "single bottom-up sweep (one transfer-table probe per node, "
+              "no fixpoint iteration).\n");
   return cases;
 }
 

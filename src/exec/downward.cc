@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
-#include "common/simd.h"
 
 namespace xptc {
 namespace exec {
@@ -37,7 +37,18 @@ class DownwardLowerer {
  private:
   int Alloc() { return next_bit_++; }
 
+  // Value-numbered: an identical (op, a, b, label) — commuted operands
+  // included — returns the bit that already holds it, and `and x x` /
+  // `or x x` fold to x. Fixpoint bits (allocated first, then closed by
+  // `Define`) are never shared: each is its own equation's unknown.
   int Emit(BitOp op, int a = -1, int b = -1, Symbol label = kInvalidSymbol) {
+    const bool commutes = op == BitOp::kAnd || op == BitOp::kOr;
+    if (commutes && a == b) return a;
+    const auto [it, inserted] = emitted_.try_emplace(
+        commutes ? std::make_tuple(op, std::min(a, b), std::max(a, b), label)
+                 : std::make_tuple(op, a, b, label),
+        next_bit_);
+    if (!inserted) return it->second;
     const int dst = Alloc();
     Define(dst, op, a, b, label);
     return dst;
@@ -46,11 +57,6 @@ class DownwardLowerer {
   void Define(int dst, BitOp op, int a = -1, int b = -1,
               Symbol label = kInvalidSymbol) {
     defs_.push_back(BitInstr{op, dst, a, b, label});
-  }
-
-  int TrueBit() {
-    if (true_bit_ < 0) true_bit_ = Emit(BitOp::kTrue);
-    return true_bit_;
   }
 
   // Bit holding the value of node expression `e` at the current node.
@@ -62,7 +68,7 @@ class DownwardLowerer {
     int bit = 0;
     switch (e->op) {
       case NodeOp::kTrue:
-        bit = TrueBit();
+        bit = Emit(BitOp::kTrue);
         break;
       case NodeOp::kLabel:
         bit = Emit(BitOp::kLabel, -1, -1, e->label);
@@ -79,7 +85,7 @@ class DownwardLowerer {
                    LowerNode(e->right.get()));
         break;
       case NodeOp::kSome:
-        bit = LowerPath(e->path.get(), TrueBit());
+        bit = LowerPath(e->path.get(), Emit(BitOp::kTrue));
         break;
       case NodeOp::kWithin:
         // Downward φ only sees the subtree, so W φ ≡ φ.
@@ -277,14 +283,117 @@ class DownwardLowerer {
   std::vector<BitInstr> defs_;
   std::unordered_map<const NodeExpr*, int> node_memo_;
   std::map<std::pair<const PathExpr*, int>, int> path_memo_;
+  std::map<std::tuple<BitOp, int, int, Symbol>, int> emitted_;
   int next_bit_ = 0;
-  int true_bit_ = -1;
   bool ok_ = true;
 };
 
 inline bool GetBit(const uint64_t* words, int i) {
   return (words[static_cast<size_t>(i) >> 6] >> (i & 63)) & 1;
 }
+
+inline void SetBit(uint64_t* words, int i) {
+  words[static_cast<size_t>(i) >> 6] |= uint64_t{1} << (i & 63);
+}
+
+// δ indexed by (class << |K|) | a, for a one-word aggregate and a small
+// class·2^|K|. An entry is two words (result bit, K-projection); the result
+// word reads kUnfilled until the miss path fills it.
+class DirectTable {
+ public:
+  static constexpr size_t kMaxEntries = 4096;
+  static constexpr uint64_t kUnfilled = ~uint64_t{0};
+
+  DirectTable(std::vector<uint64_t>* table, int k, uint32_t classes)
+      : k_(k) {
+    table->assign((size_t{classes} << k) * 2, kUnfilled);
+    data_ = table->data();
+  }
+  static constexpr size_t words() { return 1; }
+  uint64_t* Find(uint32_t c, const uint64_t* a) {
+    uint64_t* entry = data_ + (((size_t{c} << k_) | a[0]) << 1);
+    return entry[0] == kUnfilled ? nullptr : entry;
+  }
+  uint64_t* Insert(uint32_t c, const uint64_t* a) {
+    return data_ + (((size_t{c} << k_) | a[0]) << 1);
+  }
+
+ private:
+  int k_;
+  uint64_t* data_;
+};
+
+// δ as an open-addressing hash table over entries appended to `table`:
+// each is (class, a[kw]) followed by (result bit, K-projection[kw]).
+// Slots hold entry indices (-1 empty) and double past half full, so the
+// table holds as many entries as the sweep has distinct keys, at most n.
+class HashedTable {
+ public:
+  static constexpr size_t kInitialSlots = 256;
+
+  HashedTable(std::vector<uint64_t>* table, std::vector<int32_t>* slots,
+              size_t kw)
+      : table_(table), slots_(slots), kw_(kw), stride_(2 * kw + 2) {
+    table_->clear();
+    slots_->assign(kInitialSlots, -1);
+    shift_ = 64 - __builtin_ctzll(kInitialSlots);
+  }
+  size_t words() const { return kw_; }
+  uint64_t* Find(uint32_t c, const uint64_t* a) {
+    const size_t mask = slots_->size() - 1;
+    for (size_t i = Hash(c, a);; i = (i + 1) & mask) {
+      const int32_t e = (*slots_)[i];
+      if (e < 0) {
+        pending_ = i;
+        return nullptr;
+      }
+      uint64_t* entry = table_->data() + static_cast<size_t>(e) * stride_;
+      if (entry[0] == c && std::equal(a, a + kw_, entry + 1)) {
+        return entry + kw_ + 1;
+      }
+    }
+  }
+  // Adds the key the last `Find` missed; returns its (unfilled) value.
+  uint64_t* Insert(uint32_t c, const uint64_t* a) {
+    const size_t index = table_->size() / stride_;
+    table_->resize(table_->size() + stride_);
+    uint64_t* entry = table_->data() + index * stride_;
+    entry[0] = c;
+    std::copy(a, a + kw_, entry + 1);
+    if (2 * (index + 1) > slots_->size()) {
+      Grow();
+    } else {
+      (*slots_)[pending_] = static_cast<int32_t>(index);
+    }
+    return entry + kw_ + 1;
+  }
+
+ private:
+  size_t Hash(uint32_t c, const uint64_t* a) const {
+    uint64_t h = (c + 1) * 0x9E3779B97F4A7C15ULL;
+    for (size_t i = 0; i < kw_; ++i) h = (h ^ a[i]) * 0xBF58476D1CE4E5B9ULL;
+    return static_cast<size_t>(h >> shift_);
+  }
+  void Grow() {
+    const size_t size = slots_->size() * 2;
+    slots_->assign(size, -1);
+    --shift_;
+    const size_t count = table_->size() / stride_;
+    for (size_t e = 0; e < count; ++e) {
+      const uint64_t* entry = table_->data() + e * stride_;
+      size_t i = Hash(static_cast<uint32_t>(entry[0]), entry + 1);
+      while ((*slots_)[i] >= 0) i = (i + 1) & (size - 1);
+      (*slots_)[i] = static_cast<int32_t>(e);
+    }
+  }
+
+  std::vector<uint64_t>* table_;
+  std::vector<int32_t>* slots_;
+  size_t kw_;
+  size_t stride_;
+  int shift_;
+  size_t pending_ = 0;
+};
 
 }  // namespace
 
@@ -295,122 +404,174 @@ std::optional<DownwardProgram> DownwardProgram::Compile(const NodePtr& plan) {
                      &program.result_bit_)) {
     return std::nullopt;
   }
+  for (const BitInstr& ins : program.code_) {
+    if (ins.op == BitOp::kAgg) program.agg_bits_.push_back(ins.a);
+    if (ins.op != BitOp::kLabel) continue;
+    const size_t label = static_cast<size_t>(ins.label);
+    if (label >= program.label_class_.size()) {
+      program.label_class_.resize(label + 1, 0);
+    }
+    if (program.label_class_[label] == 0) {
+      program.label_class_[label] = program.num_classes_++;
+    }
+  }
+  std::vector<int>& k = program.agg_bits_;
+  std::sort(k.begin(), k.end());
+  k.erase(std::unique(k.begin(), k.end()), k.end());
+  program.key_words_ =
+      std::max<int>(1, (static_cast<int>(k.size()) + 63) / 64);
   return program;
 }
 
-Bitset DownwardProgram::Run(const Tree& tree,
-                            std::vector<uint64_t>* agg) const {
+Bitset DownwardProgram::Run(const Tree& tree, SweepState* state) const {
   XPTC_CHECK(!tree.empty());
   Bitset out(tree.size());
-  if (num_bits_ <= 64) {
-    RunNarrow(tree, agg, &out);
+  const size_t kw = static_cast<size_t>(key_words_);
+  state->agg.assign(static_cast<size_t>(tree.size()) * kw, 0);
+  state->entries = 0;
+  const int k = static_cast<int>(agg_bits_.size());
+  if (k < 32 && (size_t{num_classes_} << k) <= DirectTable::kMaxEntries) {
+    Sweep(tree, DirectTable(&state->table, k, num_classes_), state, &out);
   } else {
-    RunWide(tree, (num_bits_ + 63) / 64, agg, &out);
+    Sweep(tree, HashedTable(&state->table, &state->slots, kw), state, &out);
   }
   return out;
 }
 
-void DownwardProgram::RunNarrow(const Tree& tree, std::vector<uint64_t>* agg,
-                                Bitset* out) const {
-  const int n = tree.size();
-  agg->assign(static_cast<size_t>(n), 0);
-  uint64_t* aggw = agg->data();
-  const BitInstr* code = code_.data();
-  const size_t num_instrs = code_.size();
+template <class Table>
+void DownwardProgram::Sweep(const Tree& tree, Table table, SweepState* state,
+                            Bitset* out) const {
+  const size_t kw = table.words();
+  uint64_t* agg = state->agg.data();
   // The sweep touches every node once; stream the label/parent columns
   // directly instead of paying the accessor indexing per node.
   const Symbol* labels = tree.LabelData();
   const NodeId* parents = tree.ParentData();
-  for (NodeId v = n - 1; v >= 0; --v) {
-    const uint64_t adjacent = aggw[v];
+  const uint32_t* classes = label_class_.data();
+  const size_t num_labels = label_class_.size();
+  uint64_t* out_words = out->mutable_words();
+  uint64_t result = 0;  // the output word of v, filled from bit 63 down
+  for (NodeId v = tree.size() - 1; v >= 0; --v) {
     const Symbol label = labels[v];
-    uint64_t w = 0;
-    for (size_t i = 0; i < num_instrs; ++i) {
-      const BitInstr& ins = code[i];
-      uint64_t bit;
-      switch (ins.op) {
-        case BitOp::kTrue:
-          bit = 1;
-          break;
-        case BitOp::kLabel:
-          bit = label == ins.label ? 1 : 0;
-          break;
-        case BitOp::kNot:
-          bit = ~(w >> ins.a) & 1;
-          break;
-        case BitOp::kAnd:
-          bit = (w >> ins.a) & (w >> ins.b) & 1;
-          break;
-        case BitOp::kOr:
-          bit = ((w >> ins.a) | (w >> ins.b)) & 1;
-          break;
-        case BitOp::kAgg:
-          bit = (adjacent >> ins.a) & 1;
-          break;
-        default:
-          bit = 0;
-          break;
-      }
-      w |= bit << ins.dst;
+    const uint32_t c =
+        static_cast<size_t>(label) < num_labels ? classes[label] : 0;
+    const uint64_t* a = agg + static_cast<size_t>(v) * kw;
+    uint64_t* entry = table.Find(c, a);
+    if (entry == nullptr) {
+      entry = table.Insert(c, a);
+      Transfer(label, a, state, entry);
+      ++state->entries;
     }
-    if ((w >> result_bit_) & 1) out->Set(v);
+    // Branch-free: the result bit is as often set as not on many queries.
+    result |= entry[0] << (v & 63);
+    if ((v & 63) == 0) {
+      out_words[static_cast<size_t>(v) >> 6] = result;
+      result = 0;
+    }
     const NodeId parent = parents[v];
-    if (parent != kNoNode) aggw[parent] |= w;
+    if (parent != kNoNode) {
+      uint64_t* pa = agg + static_cast<size_t>(parent) * kw;
+      for (size_t i = 0; i < kw; ++i) pa[i] |= entry[1 + i];
+    }
   }
 }
 
-void DownwardProgram::RunWide(const Tree& tree, int words,
-                              std::vector<uint64_t>* agg, Bitset* out) const {
-  const int n = tree.size();
-  agg->assign(static_cast<size_t>(n) * static_cast<size_t>(words), 0);
-  std::vector<uint64_t> w(static_cast<size_t>(words));
-  // The per-node child-aggregate OR is the sweep's word-parallel hot loop;
-  // fetch the dispatched kernel once, outside the node loop, and stream
-  // the label/parent columns raw.
-  const auto or_words = simd::Active().or_words;
-  const Symbol* labels = tree.LabelData();
-  const NodeId* parents = tree.ParentData();
-  for (NodeId v = n - 1; v >= 0; --v) {
-    const uint64_t* adjacent =
-        agg->data() + static_cast<size_t>(v) * static_cast<size_t>(words);
-    const Symbol label = labels[v];
-    std::fill(w.begin(), w.end(), 0);
-    for (const BitInstr& ins : code_) {
-      bool bit;
-      switch (ins.op) {
-        case BitOp::kTrue:
-          bit = true;
-          break;
-        case BitOp::kLabel:
-          bit = label == ins.label;
-          break;
-        case BitOp::kNot:
-          bit = !GetBit(w.data(), ins.a);
-          break;
-        case BitOp::kAnd:
-          bit = GetBit(w.data(), ins.a) && GetBit(w.data(), ins.b);
-          break;
-        case BitOp::kOr:
-          bit = GetBit(w.data(), ins.a) || GetBit(w.data(), ins.b);
-          break;
-        case BitOp::kAgg:
-          bit = GetBit(adjacent, ins.a);
-          break;
-        default:
-          bit = false;
-          break;
-      }
-      if (bit) {
-        w[static_cast<size_t>(ins.dst) >> 6] |= uint64_t{1} << (ins.dst & 63);
-      }
+void DownwardProgram::Transfer(Symbol label, const uint64_t* a,
+                               SweepState* state, uint64_t* entry) const {
+  const int k = static_cast<int>(agg_bits_.size());
+  if (num_bits_ <= 64) {
+    uint64_t adjacent = 0;
+    for (int j = 0; j < k; ++j) {
+      adjacent |= ((a[0] >> j) & 1) << agg_bits_[static_cast<size_t>(j)];
     }
-    if (GetBit(w.data(), result_bit_)) out->Set(v);
-    const NodeId parent = parents[v];
-    if (parent != kNoNode) {
-      uint64_t* pw = agg->data() +
-                     static_cast<size_t>(parent) * static_cast<size_t>(words);
-      or_words(pw, w.data(), static_cast<size_t>(words));
+    const uint64_t w = InterpretNarrow(label, adjacent);
+    uint64_t projection = 0;
+    for (int j = 0; j < k; ++j) {
+      projection |= ((w >> agg_bits_[static_cast<size_t>(j)]) & 1) << j;
     }
+    entry[0] = (w >> result_bit_) & 1;
+    entry[1] = projection;
+    return;
+  }
+  const size_t words = static_cast<size_t>(num_bits_ + 63) / 64;
+  state->adjacent.assign(words, 0);
+  state->word.assign(words, 0);
+  for (int j = 0; j < k; ++j) {
+    if (GetBit(a, j)) {
+      SetBit(state->adjacent.data(), agg_bits_[static_cast<size_t>(j)]);
+    }
+  }
+  InterpretWide(label, state->adjacent.data(), state->word.data());
+  entry[0] = GetBit(state->word.data(), result_bit_) ? 1 : 0;
+  std::fill(entry + 1, entry + 1 + key_words_, 0);
+  for (int j = 0; j < k; ++j) {
+    if (GetBit(state->word.data(), agg_bits_[static_cast<size_t>(j)])) {
+      SetBit(entry + 1, j);
+    }
+  }
+}
+
+uint64_t DownwardProgram::InterpretNarrow(Symbol label,
+                                          uint64_t adjacent) const {
+  uint64_t w = 0;
+  for (const BitInstr& ins : code_) {
+    uint64_t bit;
+    switch (ins.op) {
+      case BitOp::kTrue:
+        bit = 1;
+        break;
+      case BitOp::kLabel:
+        bit = label == ins.label ? 1 : 0;
+        break;
+      case BitOp::kNot:
+        bit = ~(w >> ins.a) & 1;
+        break;
+      case BitOp::kAnd:
+        bit = (w >> ins.a) & (w >> ins.b) & 1;
+        break;
+      case BitOp::kOr:
+        bit = ((w >> ins.a) | (w >> ins.b)) & 1;
+        break;
+      case BitOp::kAgg:
+        bit = (adjacent >> ins.a) & 1;
+        break;
+      default:
+        bit = 0;
+        break;
+    }
+    w |= bit << ins.dst;
+  }
+  return w;
+}
+
+void DownwardProgram::InterpretWide(Symbol label, const uint64_t* adjacent,
+                                    uint64_t* w) const {
+  for (const BitInstr& ins : code_) {
+    bool bit;
+    switch (ins.op) {
+      case BitOp::kTrue:
+        bit = true;
+        break;
+      case BitOp::kLabel:
+        bit = label == ins.label;
+        break;
+      case BitOp::kNot:
+        bit = !GetBit(w, ins.a);
+        break;
+      case BitOp::kAnd:
+        bit = GetBit(w, ins.a) && GetBit(w, ins.b);
+        break;
+      case BitOp::kOr:
+        bit = GetBit(w, ins.a) || GetBit(w, ins.b);
+        break;
+      case BitOp::kAgg:
+        bit = GetBit(adjacent, ins.a);
+        break;
+      default:
+        bit = false;
+        break;
+    }
+    if (bit) SetBit(w, ins.dst);
   }
 }
 

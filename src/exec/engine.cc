@@ -27,15 +27,23 @@ ExecEngine::~ExecEngine() = default;
 
 namespace {
 
-// Star-round budget for the hybrid dispatch: one register-machine star
-// round costs a few full-bitset word ops (O(n/64) each), one node of the
-// one-pass sweep costs ~bit_ops dependent dispatches — so past roughly
-// 8 rounds per bit op the sweep wins even counting the abandoned prefix.
-// Shallow trees and dense star seeds converge in far fewer rounds and
-// never hit the budget; only the adversarial deep-tree/sparse-seed regime
-// (where the register machine would go quadratic) falls back.
+// Star-round budget for the hybrid dispatch: abandon the register machine
+// once its rounds have cost about one sweep. The sweep is a table probe per
+// node plus one bit-program interpretation per transfer entry (at most n),
+// so it grows with bit_ops only through its misses. Measured (4-core x86,
+// min of 11 runs): one sweep costs as much as 100–180 average star rounds
+// on big_batch text 2's 262k-node caterpillar and comb (sweep 2.2–3.1 ms,
+// 16–23 µs per round) and on exp12's 16k–64k adversarial chain (sweep
+// 0.11–0.47 ms, 0.8–4 µs per round). Early rounds are the dense, dear
+// ones: on text 2 the first 81 rounds cost 2.9–3.4 ms and the first 225
+// cost 4.6–5.8 ms, so 32 + 2·bit_ops (80 rounds there) keeps the abandoned
+// prefix near one sweep, and ran the two deep cells in 4.5–6.1 ms against
+// 6.9–8.3 ms for 32 + 8·bit_ops. Shallow trees and dense star seeds
+// converge in far fewer rounds (at most 10 on every other perfbench cell)
+// and never hit the budget; only the adversarial deep-tree/sparse-seed
+// regime (where the register machine would go quadratic) falls back.
 int64_t StarRoundBudget(const Program& program) {
-  return 32 + 8 * static_cast<int64_t>(program.stats().bit_ops);
+  return 32 + 2 * static_cast<int64_t>(program.stats().bit_ops);
 }
 
 // Process-wide execution counters, fetched once (registry lookups lock;
@@ -121,6 +129,7 @@ void ExecEngine::BeginRun(const Program& program, RunInfo::Dispatch dispatch,
   last_run_.star_rounds_used = 0;
   last_run_.star_round_budget = budget;
   last_run_.instrs_executed = 0;
+  last_run_.transfer_entries = 0;
   last_run_.deadline_expired = false;
   // assign() reuses capacity, so steady-state evals stay allocation-free
   // once the vector has grown to the largest program seen.
@@ -171,6 +180,9 @@ void ExecEngine::FinishRun(const Bitset* result) {
   cur->SetAttr("star_rounds_used", last_run_.star_rounds_used);
   cur->SetAttr("star_round_budget", last_run_.star_round_budget);
   cur->SetAttr("instrs_executed", last_run_.instrs_executed);
+  if (last_run_.transfer_entries > 0) {
+    cur->SetAttr("transfer_entries", last_run_.transfer_entries);
+  }
   if (result != nullptr) cur->SetAttr("result_count", result->Count());
 }
 
@@ -196,8 +208,14 @@ Bitset ExecEngine::Eval(const Program& program) {
   // prefix) and re-run as the unconditionally-linear sweep.
   last_run_.dispatch = RunInfo::Dispatch::kDownwardFallback;
   last_used_downward_ = true;
-  Bitset result = program.downward()->Run(tree_, &agg_);
+  Bitset result = RunSweep(program);
   FinishRun(&result);
+  return result;
+}
+
+Bitset ExecEngine::RunSweep(const Program& program) {
+  Bitset result = program.downward()->Run(tree_, &sweep_);
+  last_run_.transfer_entries = sweep_.entries;
   return result;
 }
 
@@ -234,7 +252,7 @@ Bitset ExecEngine::EvalDownward(const Program& program) {
   last_run_.instr_execs.clear();
   last_used_downward_ = true;
   if (DeadlineExpired()) return AbandonRun();
-  Bitset result = program.downward()->Run(tree_, &agg_);
+  Bitset result = RunSweep(program);
   FinishRun(&result);
   return result;
 }

@@ -21,9 +21,10 @@ namespace exec {
 /// Executes compiled `Program`s against one tree. Owns all per-run mutable
 /// state — the physical bitset register file, a spare register bank for
 /// `W` bodies, the per-tree label index, the `W` memo and the downward
-/// sweep's aggregate buffer — so repeated runs (the batch-engine steady
-/// state) allocate nothing: registers are overwritten in place, and the
-/// file only grows when a program needs more registers than any before it.
+/// sweep's aggregate buffer and transfer table — so repeated runs (the
+/// batch-engine steady state) allocate nothing: registers are overwritten
+/// in place, and the file only grows when a program needs more registers
+/// than any before it.
 ///
 /// `W φ` is computed here too: φ's sub-program runs bottom-up over every
 /// subtree window [v, SubtreeEnd(v)) (see ComputeWithin), and the result
@@ -81,6 +82,9 @@ class ExecEngine {
     // SetDeadline). The returned bitset is empty and meaningless; callers
     // that armed a deadline must check this before using the result.
     bool deadline_expired = false;
+    // Transfer entries (distinct (label class, K-aggregate) keys) the
+    // downward sweep built; 0 when no sweep ran.
+    int64_t transfer_entries = 0;
     // Execution count per instruction index; on a fallback these hold the
     // abandoned register-machine prefix. Empty for kDownwardDirect.
     std::vector<int64_t> instr_execs;
@@ -133,6 +137,8 @@ class ExecEngine {
   /// Runs the top-level code of `program` on the main bank; false as for
   /// RunRange. `RunGeneral` wraps it as an unbounded, accounted run.
   bool RunMain(const Program& program);
+  /// The one-pass downward sweep; records its transfer entries.
+  Bitset RunSweep(const Program& program);
   Bitset RunGeneral(const Program& program);
   const Bitset& LabelSet(Symbol label);
 
@@ -184,7 +190,7 @@ class ExecEngine {
   // after first touch), else locally built sets.
   std::unordered_map<Symbol, const Bitset*> label_refs_;
   std::unordered_map<Symbol, Bitset> local_labels_;
-  std::vector<uint64_t> agg_;  // downward sweep child-aggregate buffer
+  DownwardProgram::SweepState sweep_;  // the downward sweep's δ table et al.
   // W memo of an engine without a TreeCache: body hash → the structurally
   // distinct bodies with that hash (pinned) and their sets. Deques keep
   // element addresses stable across growth.

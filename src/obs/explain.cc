@@ -271,7 +271,12 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
     r.append(DialectToString(query.source_dialect()));
     r.append("\"},\n  \"dispatch\": \"");
     r.append(dispatch);
-    r.append("\",\n  \"star_rounds_used\": ");
+    r.append("\"");
+    if (run.transfer_entries > 0) {
+      r.append(",\n  \"transfer_entries\": ");
+      r.append(std::to_string(run.transfer_entries));
+    }
+    r.append(",\n  \"star_rounds_used\": ");
     r.append(std::to_string(run.star_rounds_used));
     r.append(",\n  \"star_round_budget\": ");
     r.append(std::to_string(run.star_round_budget));
@@ -326,7 +331,11 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
     os << "\n";
   }
   os << "\n";
-  os << "dispatch: " << dispatch << "\n";
+  os << "dispatch: " << dispatch;
+  if (run.transfer_entries > 0) {
+    os << " (transfer_entries=" << run.transfer_entries << ")";
+  }
+  os << "\n";
   os << "star rounds: used " << run.star_rounds_used;
   if (run.star_round_budget > 0) os << " of budget " << run.star_round_budget;
   os << "\n";

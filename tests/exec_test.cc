@@ -388,6 +388,143 @@ TEST(ExecEngineTest, HybridDispatchFallsBackOnDeepSparseStars) {
   EXPECT_EQ(collapsed_engine.last_run().star_rounds_used, 0);
 }
 
+// ------------------------------------------------------- downward sweep
+
+Tree Generated(TreeShape shape, int nodes, const std::vector<Symbol>& labels,
+               uint64_t seed, int arity = 3) {
+  TreeGenOptions options;
+  options.num_nodes = nodes;
+  options.shape = shape;
+  options.arity = arity;
+  Rng rng(seed);
+  return GenerateTree(options, labels, &rng);
+}
+
+// The downward sweep, the register machine and the interpreter agree on
+// `query` over `tree`; returns the sweep's transfer entries.
+int64_t ExpectSweepAgrees(const Tree& tree, const NodePtr& query,
+                          const Alphabet& alphabet) {
+  auto program = Program::Compile(query);
+  EXPECT_NE(program->downward(), nullptr);
+  if (program->downward() == nullptr) return 0;
+  ExecEngine engine(tree);
+  const Bitset reference = Interpret(tree, query);
+  EXPECT_EQ(engine.EvalDownward(*program), reference)
+      << NodeToString(*query, alphabet);
+  const int64_t entries = engine.last_run().transfer_entries;
+  EXPECT_EQ(engine.EvalGeneral(*program), reference)
+      << NodeToString(*query, alphabet);
+  EXPECT_GT(entries, 0);
+  EXPECT_LE(entries, tree.size());
+  return entries;
+}
+
+TEST(ExecDownwardTest, LoweringValueNumbersRepeatedSubexpressions) {
+  // A raw parse: the two `<child[not b]>` are distinct nodes. Each op is
+  // emitted once, and the disjunction of one bit with itself is that bit.
+  Alphabet alphabet;
+  auto program =
+      Program::Compile(N("<child[not b]> or <child[not b]>", &alphabet));
+  ASSERT_NE(program->downward(), nullptr);
+  const std::string listing = program->downward()->ToString(alphabet);
+  auto count = [&listing](const std::string& op) {
+    int total = 0;
+    for (size_t at = listing.find(op); at != std::string::npos;
+         at = listing.find(op, at + 1)) {
+      ++total;
+    }
+    return total;
+  };
+  EXPECT_EQ(count("= not "), 1) << listing;
+  EXPECT_EQ(count("= agg "), 1) << listing;
+  EXPECT_EQ(count("= or "), 0) << listing;
+  for (int bit = 0; bit < program->downward()->num_bits(); ++bit) {
+    const std::string b = "b" + std::to_string(bit);
+    EXPECT_EQ(listing.find("or " + b + " " + b + "\n"), std::string::npos)
+        << listing;
+  }
+  // Commuted operands are one op too.
+  program = Program::Compile(N("<child[a and b]> and <child[b and a]>",
+                               &alphabet));
+  ASSERT_NE(program->downward(), nullptr);
+  EXPECT_EQ(program->downward()->code().size(), 6u)
+      << program->downward()->ToString(alphabet);
+}
+
+TEST(ExecDownwardTest, SweepMatchesOnServingBatchTextOnDeepTrees) {
+  // big_batch's second text, the one that falls back to the sweep on the
+  // serving benchmark's deep trees, at 16k nodes.
+  Alphabet alphabet;
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 8);
+  const NodePtr query = SimplifyNode(
+      N("<(child[not (a and <child[b and <child[c]>]>)])*"
+        "[d and <child[e and <child[f]>]>]>",
+        &alphabet));
+  for (const TreeShape shape : {TreeShape::kComb, TreeShape::kCaterpillar}) {
+    const Tree tree = Generated(shape, 16384, labels, 5);
+    ExpectSweepAgrees(tree, query, alphabet);
+  }
+}
+
+TEST(ExecDownwardTest, SweepMatchesOnProgramsWiderThanOneWord) {
+  // Over 64 state bits each: a boolean chain over 24 labels with one
+  // `<desc[a]>` (one K bit, a directly indexed table), and fourteen
+  // `<desc[l]>` disjuncts (fifteen K bits, a hashed table).
+  Alphabet alphabet;
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 24);
+  std::string chain = "<desc[a]> and (";
+  std::string descs;
+  for (size_t i = 0; i < labels.size(); ++i) {
+    const std::string label = alphabet.Name(labels[i]);
+    const std::string next = alphabet.Name(labels[(i + 1) % labels.size()]);
+    chain += (i == 0 ? "(" : " or (") + label + " and not " + next + ")";
+    if (i >= 14) continue;
+    if (!descs.empty()) descs += " or ";
+    descs += "(<desc[" + label + "]> and not <child[a]>)";
+  }
+  chain += ")";
+  for (const std::string& text : {chain, descs}) {
+    const NodePtr query = N(text, &alphabet);
+    auto program = Program::Compile(query);
+    ASSERT_GT(program->downward()->num_bits(), 64) << text;
+    for (const TreeShape shape :
+         {TreeShape::kUniformRecursive, TreeShape::kCaterpillar}) {
+      ExpectSweepAgrees(Generated(shape, 4096, labels, 6), query, alphabet);
+    }
+  }
+}
+
+TEST(ExecDownwardTest, SweepGrowsItsTransferTableOnManyKeys) {
+  // Fourteen `<child[l]>` tests put fourteen bits in K, so the transfer
+  // table is hashed; eight children drawn from fourteen labels give each
+  // inner node its own aggregate, far more keys than the table starts with.
+  Alphabet alphabet;
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 14);
+  std::string text;
+  for (const Symbol label : labels) {
+    if (!text.empty()) text += " and ";
+    text += "not <child[" + alphabet.Name(label) + "]>";
+  }
+  const NodePtr query = N(text, &alphabet);
+  ASSERT_EQ(Program::Compile(query)->downward()->agg_bits().size(), 14u);
+  const Tree tree = Generated(TreeShape::kFullKAry, 16384, labels, 7, 8);
+  EXPECT_GT(ExpectSweepAgrees(tree, query, alphabet), 1000);
+}
+
+TEST(ExecDownwardTest, TransferEntriesArePinned) {
+  // The transfer table is filled on demand, one entry per distinct
+  // (label class, K-aggregate) key: deterministic for a fixed program and
+  // tree, and never more than one per node.
+  Alphabet alphabet;
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 8);
+  const NodePtr query = SimplifyNode(
+      N("<(child[not (a and <child[b and <child[c]>]>)])*"
+        "[d and <child[e and <child[f]>]>]>",
+        &alphabet));
+  const Tree tree = Generated(TreeShape::kUniformRecursive, 4096, labels, 8);
+  EXPECT_EQ(ExpectSweepAgrees(tree, query, alphabet), 92);
+}
+
 // ---------------------------------------------------------------- W bodies
 
 TEST(ExecWithinTest, NestedBodiesMatchInterpreterAndNaive) {

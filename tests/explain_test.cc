@@ -39,7 +39,7 @@ program: 4 instrs, 3 regs, result r0, main [0,4), dag_hits=0, downward=yes (bit_
   3: r0 = axis aos r2   [execs 1]
 
 dispatch: register_machine
-star rounds: used 0 of budget 72
+star rounds: used 0 of budget 42
 result: 28/64 nodes
 cross-check: interpreter bit-for-bit match
 
@@ -48,7 +48,7 @@ query
   plan_cache.parse_compiled instrs=4 regs=3 dag_hits=0 downward=1
     - plan_cache: text miss, parsed
     - plan_cache: program miss, lowered
-  exec.eval axis.aos.sparse_path=1 axis.aos.touches=28 star_rounds_used=0 star_round_budget=72 instrs_executed=4 result_count=28
+  exec.eval axis.aos.sparse_path=1 axis.aos.touches=28 star_rounds_used=0 star_round_budget=42 instrs_executed=4 result_count=28
     - dispatch: register_machine
   interpreter.select axis.aos.sparse_path=1 axis.aos.touches=28 result_count=28
 
@@ -136,6 +136,37 @@ TEST(ExplainTest, StarHeavyQueryKeepsTraceAndRegistryConsistent) {
   ASSERT_TRUE(explained.ok()) << explained.status().message();
   EXPECT_TRUE(explained->match);
   EXPECT_TRUE(explained->consistent) << explained->rendered;
+}
+
+TEST(ExplainTest, SweepFallbackReportsItsTransferEntries) {
+  // A filtered star whose seed label is rare on a chain blows the
+  // star-round budget; the sweep that re-runs it reports how many
+  // transfer entries it built, in the dispatch line, on the exec.eval
+  // span and in the JSON rendering.
+  ExplainOptions options;
+  options.query = "<(child[not a])*[l60]>";
+  options.gen_nodes = 4096;
+  options.gen_shape = "chain";
+  options.gen_seed = 1;
+  options.gen_labels = 64;
+  auto explained = ExplainQuery(options);
+  ASSERT_TRUE(explained.ok()) << explained.status().message();
+  EXPECT_TRUE(explained->match);
+  EXPECT_TRUE(explained->consistent) << explained->rendered;
+  const std::string& r = explained->rendered;
+  EXPECT_NE(r.find("dispatch: downward_fallback (transfer_entries=6)\n"),
+            std::string::npos)
+      << r;
+  EXPECT_NE(r.find(" transfer_entries=6 "), std::string::npos) << r;
+
+  options.json = true;
+  auto json = ExplainQuery(options);
+  ASSERT_TRUE(json.ok()) << json.status().message();
+  EXPECT_TRUE(testing_util::JsonChecker::Valid(json->rendered))
+      << json->rendered;
+  EXPECT_NE(json->rendered.find("\"transfer_entries\": 6,"),
+            std::string::npos)
+      << json->rendered;
 }
 
 TEST(ExplainTest, TruncatedTraceIsReportedInconsistent) {
