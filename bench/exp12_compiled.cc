@@ -34,7 +34,8 @@
 //                 "onepass_ns_per_node": f, "match": bool}, ...]}, ...]},
 //    "adversarial": {"query": str, "rows": [{"n": int, "interp_ms": f,
 //                    "general_ms": f, "onepass_ms": f, "hybrid_ms": f,
-//                    "fell_back": bool, "match": bool}, ...]},
+//                    "dispatch": str, "star_round_bound": int,
+//                    "star_round_budget": int, "match": bool}, ...]},
 //    "confinement": {"rows": [{"query": str, "n": int,
 //                    "within_bodies": int, "windows_dropped": int,
 //                    "interp_ms": f, "compiled_ms": f, "speedup": f,
@@ -247,8 +248,8 @@ std::vector<DownwardCase> DownwardReport(bool* all_match) {
 // alike) through ~depth rounds of full-bitset work: Θ(n²/64). The filter
 // keeps the star from collapsing to one closure kernel (a bare
 // `(child)*` lowers to a single kDescFill). The one-pass sweep is
-// unconditionally linear, and `Eval`'s hybrid dispatch must detect the
-// blown star-round budget and land there.
+// unconditionally linear, and `Eval` must pick it before running: on a
+// chain of n nodes R(H) = n is over the star-round budget on every row.
 
 struct AdversarialRow {
   int n = 0;
@@ -257,7 +258,7 @@ struct AdversarialRow {
   double onepass_seconds = 0;
   double hybrid_seconds = 0;
   bool match = false;
-  bool fell_back = false;  // hybrid ended in the one-pass sweep
+  exec::ExecEngine::RunInfo run;  // the hybrid's last run
 };
 
 std::vector<AdversarialRow> AdversarialReport(bool* all_match) {
@@ -265,7 +266,8 @@ std::vector<AdversarialRow> AdversarialReport(bool* all_match) {
               "(<(child[not a])*[b]>, a chain of c's whose deepest node is "
               "b):\n");
   bench::PrintRow({"n", "interp ms", "general ms", "one-pass ms",
-                   "hybrid ms", "fell back", "match"});
+                   "hybrid ms", "dispatch", "R(H)", "budget", "match"},
+                  16);
   Alphabet alphabet;
   const Symbol b = alphabet.Intern("b");
   const Symbol c = alphabet.Intern("c");
@@ -297,7 +299,7 @@ std::vector<AdversarialRow> AdversarialReport(bool* all_match) {
         [&] { onepass_bits = engine.EvalDownward(*program); });
     row.hybrid_seconds = bench::MedianSeconds(
         [&] { hybrid_bits = engine.Eval(*program); });
-    row.fell_back = engine.last_used_downward();
+    row.run = engine.last_run();
     row.match = interp_bits == general_bits &&
                 interp_bits == onepass_bits && interp_bits == hybrid_bits;
     bench::PrintRow({std::to_string(n),
@@ -305,8 +307,11 @@ std::vector<AdversarialRow> AdversarialReport(bool* all_match) {
                      bench::Fmt(row.general_seconds * 1e3, 2),
                      bench::Fmt(row.onepass_seconds * 1e3, 3),
                      bench::Fmt(row.hybrid_seconds * 1e3, 3),
-                     row.fell_back ? "yes" : "NO",
-                     row.match ? "yes" : "MISMATCH"});
+                     exec::ExecEngine::DispatchName(row.run.dispatch),
+                     std::to_string(row.run.star_round_bound),
+                     std::to_string(row.run.star_round_budget),
+                     row.match ? "yes" : "MISMATCH"},
+                    16);
     if (!row.match) {
       *all_match = false;
       const std::string path = bench::DumpMismatchCase(
@@ -318,7 +323,7 @@ std::vector<AdversarialRow> AdversarialReport(bool* all_match) {
   }
   std::printf("Expected shape: interp/general columns grow ~quadratically, "
               "one-pass and hybrid stay linear; the hybrid must report "
-              "falling back on every row.\n");
+              "downward_sweep on every row, with nothing run before it.\n");
   return rows;
 }
 
@@ -460,7 +465,10 @@ std::string SectionJson(const std::vector<DagResult>& dag, int dag_n,
        << ", \"general_ms\": " << bench::Fmt(row.general_seconds * 1e3, 3)
        << ", \"onepass_ms\": " << bench::Fmt(row.onepass_seconds * 1e3, 4)
        << ", \"hybrid_ms\": " << bench::Fmt(row.hybrid_seconds * 1e3, 4)
-       << ", \"fell_back\": " << (row.fell_back ? "true" : "false")
+       << ", \"dispatch\": \""
+       << exec::ExecEngine::DispatchName(row.run.dispatch) << "\""
+       << ", \"star_round_bound\": " << row.run.star_round_bound
+       << ", \"star_round_budget\": " << row.run.star_round_budget
        << ", \"match\": " << (row.match ? "true" : "false") << "}";
   }
   os << "]}, \"confinement\": {\"rows\": [";

@@ -42,10 +42,14 @@ class Confiner {
   // runs outside any window analysis, on the plan and on kept bodies.
   //
   // A node it rebuilds goes through the unique table (`Canon`), so a
-  // subexpression the plan shares is rebuilt as one node and lowered once.
+  // subexpression the plan shares is rebuilt as one node and lowered once;
+  // a shared input is rewritten once (`SharedExprMemo`), so a DAG costs
+  // its distinct nodes, not its unfolding.
   NodePtr Rewrite(const NodePtr& node) {
-    NodePtr result = RewriteNode(node);
-    return result == node ? result : Canon(std::move(result), &nodes_);
+    return rewritten_nodes_.Get(node, [this](const NodePtr& in) {
+      NodePtr result = RewriteNode(in);
+      return result == in ? result : Canon(std::move(result), &nodes_);
+    });
   }
 
  private:
@@ -77,8 +81,10 @@ class Confiner {
   }
 
   PathPtr Rewrite(const PathPtr& path) {
-    PathPtr result = RewritePath(path);
-    return result == path ? result : Canon(std::move(result), &paths_);
+    return rewritten_paths_.Get(path, [this](const PathPtr& in) {
+      PathPtr result = RewritePath(in);
+      return result == in ? result : Canon(std::move(result), &paths_);
+    });
   }
 
   PathPtr RewritePath(const PathPtr& path) {
@@ -311,6 +317,8 @@ class Confiner {
   ConfineRules rules_;
   std::vector<NodePtr>* dropped_;
   std::unordered_map<const NodeExpr*, NodePtr> memo_;  // W node → result
+  SharedExprMemo<NodePtr> rewritten_nodes_;
+  SharedExprMemo<PathPtr> rewritten_paths_;
   std::unordered_map<ShallowKey, NodePtr, ShallowKeyHash> nodes_;
   std::unordered_map<ShallowKey, PathPtr, ShallowKeyHash> paths_;
   int64_t budget_ = kVisitBudget;

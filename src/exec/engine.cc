@@ -1,7 +1,6 @@
 #include "exec/engine.h"
 
 #include <chrono>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -27,24 +26,7 @@ ExecEngine::~ExecEngine() = default;
 
 namespace {
 
-// Star-round budget for the hybrid dispatch: abandon the register machine
-// once its rounds have cost about one sweep. The sweep is a table probe per
-// node plus one bit-program interpretation per transfer entry (at most n),
-// so it grows with bit_ops only through its misses. Measured (4-core x86,
-// min of 11 runs): one sweep costs as much as 100–180 average star rounds
-// on big_batch text 2's 262k-node caterpillar and comb (sweep 2.2–3.1 ms,
-// 16–23 µs per round) and on exp12's 16k–64k adversarial chain (sweep
-// 0.11–0.47 ms, 0.8–4 µs per round). Early rounds are the dense, dear
-// ones: on text 2 the first 81 rounds cost 2.9–3.4 ms and the first 225
-// cost 4.6–5.8 ms, so 32 + 2·bit_ops (80 rounds there) keeps the abandoned
-// prefix near one sweep, and ran the two deep cells in 4.5–6.1 ms against
-// 6.9–8.3 ms for 32 + 8·bit_ops. Shallow trees and dense star seeds
-// converge in far fewer rounds (at most 10 on every other perfbench cell)
-// and never hit the budget; only the adversarial deep-tree/sparse-seed
-// regime (where the register machine would go quadratic) falls back.
-int64_t StarRoundBudget(const Program& program) {
-  return 32 + 2 * static_cast<int64_t>(program.stats().bit_ops);
-}
+using Dispatch = ExecEngine::RunInfo::Dispatch;
 
 // Process-wide execution counters, fetched once (registry lookups lock;
 // the hot path pays relaxed atomic adds, flushed once per Eval).
@@ -52,10 +34,10 @@ struct ExecMetrics {
   obs::Counter& evals;
   obs::Counter& instrs;
   obs::Counter& star_rounds;
-  obs::Counter& disp_register;
-  obs::Counter& disp_fallback;
-  obs::Counter& disp_downward;
-  obs::Counter& disp_general;
+  // Indexed by RunInfo::Dispatch. The sweep that Eval picks still counts
+  // under `exec.dispatch.downward_fallback`, the name the serving
+  // benchmark's `exec.fallback_ratio` reads.
+  obs::Counter* dispatch[4];
   obs::Counter& deadline_expired;
   // `W` provenance (L1 = the local memo of an engine without a TreeCache,
   // L2 = the shared TreeCache, computed = paid the bottom-up pass; an
@@ -67,14 +49,16 @@ struct ExecMetrics {
   obs::Histogram& within_compute_ns;
   static ExecMetrics& Get() {
     obs::Registry& reg = obs::Registry::Default();
+    const auto dispatch = [&reg](Dispatch d) {
+      return &reg.counter(ExecEngine::DispatchCounterName(d));
+    };
     static ExecMetrics* m = new ExecMetrics{
         reg.counter("exec.evals"),
         reg.counter("exec.instrs_executed"),
         reg.counter("exec.star_rounds"),
-        reg.counter("exec.dispatch.register_machine"),
-        reg.counter("exec.dispatch.downward_fallback"),
-        reg.counter("exec.dispatch.downward_direct"),
-        reg.counter("exec.dispatch.general"),
+        {dispatch(Dispatch::kRegisterMachine),
+         dispatch(Dispatch::kDownwardSweep),
+         dispatch(Dispatch::kDownwardDirect), dispatch(Dispatch::kGeneral)},
         reg.counter("exec.deadline_expired"),
         reg.counter("eval.within_l1_hits"),
         reg.counter("eval.within_l2_hits"),
@@ -97,12 +81,22 @@ constexpr int kWithinProbeStride = 64;
 
 const char* ExecEngine::DispatchName(RunInfo::Dispatch dispatch) {
   switch (dispatch) {
-    case RunInfo::Dispatch::kRegisterMachine: return "register_machine";
-    case RunInfo::Dispatch::kDownwardFallback: return "downward_fallback";
-    case RunInfo::Dispatch::kDownwardDirect: return "downward_direct";
-    case RunInfo::Dispatch::kGeneral: return "general";
+    case Dispatch::kRegisterMachine: return "register_machine";
+    case Dispatch::kDownwardSweep: return "downward_sweep";
+    case Dispatch::kDownwardDirect: return "downward_direct";
+    case Dispatch::kGeneral: return "general";
   }
   return "unknown";
+}
+
+const char* ExecEngine::DispatchCounterName(RunInfo::Dispatch dispatch) {
+  switch (dispatch) {
+    case Dispatch::kRegisterMachine: return "exec.dispatch.register_machine";
+    case Dispatch::kDownwardSweep: return "exec.dispatch.downward_fallback";
+    case Dispatch::kDownwardDirect: return "exec.dispatch.downward_direct";
+    case Dispatch::kGeneral: return "exec.dispatch.general";
+  }
+  return "exec.dispatch.unknown";
 }
 
 int64_t ExecEngine::SteadyNowNs() {
@@ -119,15 +113,19 @@ bool ExecEngine::DeadlineExpired() const {
   return deadline_ns_ != 0 && SteadyNowNs() >= deadline_ns_;
 }
 
-void ExecEngine::BeginRun(const Program& program, RunInfo::Dispatch dispatch,
-                          int64_t budget) {
+void ExecEngine::BeginRun(const Program& program, RunInfo::Dispatch dispatch) {
   lo_ = 0;
   hi_ = n_;
   within_sets_.assign(program.within_bodies().size(), nullptr);
   within_probed_.assign(program.within_bodies().size(), 0);
   last_run_.dispatch = dispatch;
   last_run_.star_rounds_used = 0;
-  last_run_.star_round_budget = budget;
+  const bool chosen = dispatch == Dispatch::kRegisterMachine ||
+                      dispatch == Dispatch::kDownwardSweep;
+  last_run_.tree_height = chosen ? tree_.Height() : 0;
+  last_run_.star_round_bound =
+      chosen ? program.StarRoundBound(tree_.Height()) : 0;
+  last_run_.star_round_budget = chosen ? program.star_round_budget() : 0;
   last_run_.instrs_executed = 0;
   last_run_.transfer_entries = 0;
   last_run_.deadline_expired = false;
@@ -148,20 +146,7 @@ void ExecEngine::FinishRun(const Bitset* result) {
     obs::Journal::Record(obs::JournalCode::kDeadlineExec,
                          static_cast<uint64_t>(last_run_.star_rounds_used));
   }
-  switch (last_run_.dispatch) {
-    case RunInfo::Dispatch::kRegisterMachine:
-      metrics.disp_register.Inc();
-      break;
-    case RunInfo::Dispatch::kDownwardFallback:
-      metrics.disp_fallback.Inc();
-      break;
-    case RunInfo::Dispatch::kDownwardDirect:
-      metrics.disp_downward.Inc();
-      break;
-    case RunInfo::Dispatch::kGeneral:
-      metrics.disp_general.Inc();
-      break;
-  }
+  metrics.dispatch[static_cast<int>(last_run_.dispatch)]->Inc();
   obs::TraceNode* cur = obs::CurrentTraceNode();
   if (cur == nullptr) return;
   cur->notes.push_back(std::string("dispatch: ") +
@@ -171,14 +156,12 @@ void ExecEngine::FinishRun(const Bitset* result) {
                          std::to_string(last_run_.star_rounds_used) +
                          " star rounds; run abandoned");
   }
-  if (last_run_.dispatch == RunInfo::Dispatch::kDownwardFallback) {
-    cur->notes.push_back(
-        "star-round budget blown at " +
-        std::to_string(last_run_.star_round_budget) +
-        " rounds; abandoned register machine, re-ran one-pass sweep");
-  }
   cur->SetAttr("star_rounds_used", last_run_.star_rounds_used);
-  cur->SetAttr("star_round_budget", last_run_.star_round_budget);
+  if (last_run_.star_round_budget > 0) {
+    cur->SetAttr("tree_height", last_run_.tree_height);
+    cur->SetAttr("star_round_bound", last_run_.star_round_bound);
+    cur->SetAttr("star_round_budget", last_run_.star_round_budget);
+  }
   cur->SetAttr("instrs_executed", last_run_.instrs_executed);
   if (last_run_.transfer_entries > 0) {
     cur->SetAttr("transfer_entries", last_run_.transfer_entries);
@@ -189,49 +172,40 @@ void ExecEngine::FinishRun(const Bitset* result) {
 Bitset ExecEngine::Eval(const Program& program) {
   obs::TraceSpan span("exec.eval", &EvalFlame());
   ExecMetrics::Get().evals.Inc();
-  last_used_downward_ = false;
-  if (program.downward() == nullptr) return RunGeneral(program);
-  const int64_t budget = StarRoundBudget(program);
-  BeginRun(program, RunInfo::Dispatch::kRegisterMachine, budget);
-  if (DeadlineExpired()) return AbandonRun();
-  star_rounds_left_ = budget;
-  if (RunMain(program)) {
-    Bitset& result = regs_[static_cast<size_t>(program.result_reg())];
-    FinishRun(&result);
-    return result;
+  if (program.downward() == nullptr) {
+    return RunRegisters(program, Dispatch::kGeneral);
   }
-  // The deadline probe fired mid-run: the request is already late, so the
-  // fallback sweep would only add more late work. Abandon instead.
-  if (last_run_.deadline_expired) return AbandonRun();
-  // Budget blown: abandon the register machine (its partial instruction
-  // counts stay in last_run_ — the EXPLAIN dump shows the abandoned
-  // prefix) and re-run as the unconditionally-linear sweep.
-  last_run_.dispatch = RunInfo::Dispatch::kDownwardFallback;
-  last_used_downward_ = true;
-  Bitset result = RunSweep(program);
+  // Decided before anything runs (DESIGN §10.4): on a tree no taller than
+  // the program's height limit, the register machine's star rounds are
+  // bounded by R(H) ≤ budget; on a taller one the sweep is cheaper.
+  if (tree_.Height() <= program.register_height_limit()) {
+    return RunRegisters(program, Dispatch::kRegisterMachine);
+  }
+  return RunSweep(program, Dispatch::kDownwardSweep);
+}
+
+Bitset ExecEngine::RunSweep(const Program& program,
+                            RunInfo::Dispatch dispatch) {
+  BeginRun(program, dispatch);
+  last_run_.instr_execs.clear();
+  if (DeadlineExpired()) return AbandonRun();
+  Bitset result = program.downward()->Run(tree_, &sweep_);
+  last_run_.transfer_entries = sweep_.entries;
   FinishRun(&result);
   return result;
 }
 
-Bitset ExecEngine::RunSweep(const Program& program) {
-  Bitset result = program.downward()->Run(tree_, &sweep_);
-  last_run_.transfer_entries = sweep_.entries;
-  return result;
-}
-
-bool ExecEngine::RunMain(const Program& program) {
+Bitset ExecEngine::RunRegisters(const Program& program,
+                                RunInfo::Dispatch dispatch) {
+  BeginRun(program, dispatch);
+  if (DeadlineExpired()) return AbandonRun();
   while (static_cast<int>(regs_.size()) < program.num_regs()) {
     regs_.emplace_back(n_);
   }
-  return RunRange(program, 0, program.main_end(), regs_.data(),
-                  last_run_.instr_execs.data());
-}
-
-Bitset ExecEngine::RunGeneral(const Program& program) {
-  BeginRun(program, RunInfo::Dispatch::kGeneral, 0);
-  if (DeadlineExpired()) return AbandonRun();
-  star_rounds_left_ = std::numeric_limits<int64_t>::max();
-  if (!RunMain(program)) return AbandonRun();
+  if (!RunRange(program, 0, program.main_end(), regs_.data(),
+                last_run_.instr_execs.data())) {
+    return AbandonRun();
+  }
   Bitset& result = regs_[static_cast<size_t>(program.result_reg())];
   FinishRun(&result);
   return result;
@@ -248,20 +222,13 @@ Bitset ExecEngine::EvalDownward(const Program& program) {
       << "program has no downward compilation";
   obs::TraceSpan span("exec.eval", &EvalFlame());
   ExecMetrics::Get().evals.Inc();
-  BeginRun(program, RunInfo::Dispatch::kDownwardDirect, 0);
-  last_run_.instr_execs.clear();
-  last_used_downward_ = true;
-  if (DeadlineExpired()) return AbandonRun();
-  Bitset result = RunSweep(program);
-  FinishRun(&result);
-  return result;
+  return RunSweep(program, Dispatch::kDownwardDirect);
 }
 
 Bitset ExecEngine::EvalGeneral(const Program& program) {
   obs::TraceSpan span("exec.eval", &EvalFlame());
   ExecMetrics::Get().evals.Inc();
-  last_used_downward_ = false;
-  return RunGeneral(program);
+  return RunRegisters(program, Dispatch::kGeneral);
 }
 
 const Bitset& ExecEngine::LabelSet(Symbol label) {
@@ -354,11 +321,8 @@ bool ExecEngine::ComputeWithin(const Program& program, int w) {
   // wset[v] = 1 iff the body holds at v in context T|v. That depends only
   // on the subtree of v, so one pass over the whole tree serves every
   // context and nesting level. Descending preorder ids visit leaves first;
-  // each context runs in its own window on the spare bank, with no star
-  // budget, and clears that window afterwards so the next context's
-  // sources stay inside it.
-  const int64_t saved_rounds = star_rounds_left_;
-  star_rounds_left_ = std::numeric_limits<int64_t>::max();
+  // each context runs in its own window on the spare bank and clears that
+  // window afterwards so the next context's sources stay inside it.
   Bitset wset(n_);
   bool done = true;
   for (NodeId v = n_ - 1; v >= 0; --v) {
@@ -380,7 +344,6 @@ bool ExecEngine::ComputeWithin(const Program& program, int w) {
   }
   lo_ = 0;
   hi_ = n_;
-  star_rounds_left_ = saved_rounds;
   if (!done) return false;  // abandoned: nothing stored
   const Bitset* set;
   if (tree_cache_ != nullptr) {
@@ -460,11 +423,14 @@ bool ExecEngine::RunRange(const Program& program, int begin, int end,
         const Bitset& seed = regs[ins.a];
         Bitset& frontier = regs[ins.in];
         Bitset& step = regs[ins.out];
-        dst.CopyRange(seed, lo, hi);
+        if (ins.strict) {
+          dst.ResetRange(lo, hi);
+        } else {
+          dst.CopyRange(seed, lo, hi);
+        }
         frontier.CopyRange(seed, lo, hi);
         while (frontier.AnyInRange(lo, hi)) {
           if (instr_execs != nullptr) ++last_run_.star_rounds_used;
-          if (--star_rounds_left_ < 0) return false;
           // Deadline probe (see SetDeadline): star rounds are the only
           // statically unbounded work in a run, so one clock read per
           // round bounds enforcement lag to a single round's work.

@@ -47,36 +47,40 @@ class ExecEngine {
   ExecEngine& operator=(const ExecEngine&) = delete;
 
   /// The set of nodes satisfying the program's query. Programs without a
-  /// downward compilation run on the register machine. Programs with one
-  /// run a *hybrid*: the register machine is usually faster (every word op
-  /// is 64-way node-parallel), but its star fixpoints can take up to
-  /// tree-depth rounds of full-bitset work — quadratic on deep trees with
-  /// sparse star seeds — so star rounds are budgeted, and blowing the
-  /// budget abandons the run and re-executes as the one-pass downward
-  /// sweep, whose O(|code|·|T|) bound is unconditional (T2 linearity as
-  /// the safety net, word-parallelism as the fast path).
+  /// downward compilation run on the register machine. For one with, the
+  /// engine is picked before anything runs: the register machine (64-way
+  /// node-parallel word ops) iff the tree is no taller than
+  /// `program.register_height_limit()`, where its star rounds, at most
+  /// R(H), cost less than a sweep; else the one-pass downward sweep, linear
+  /// unconditionally (DESIGN §10.4). Nothing runs twice.
   Bitset Eval(const Program& program);
 
-  /// True iff the last `Eval` fell back to (or a direct `EvalDownward`
-  /// ran) the one-pass sweep — observability for tests and benches.
-  bool last_used_downward() const { return last_used_downward_; }
+  /// True iff the last evaluation ran the one-pass sweep (picked by `Eval`
+  /// or forced by `EvalDownward`) — observability for tests and benches.
+  bool last_used_downward() const {
+    return last_run_.dispatch == RunInfo::Dispatch::kDownwardSweep ||
+           last_run_.dispatch == RunInfo::Dispatch::kDownwardDirect;
+  }
 
-  /// How the last evaluation ran: which engine the hybrid dispatch picked
-  /// (and why — the budget that a blown run abandoned against), how many
+  /// How the last evaluation ran: which engine ran it (and why), how many
   /// star fixpoint rounds it took, and how often each instruction of the
   /// program executed (star bodies re-run once per round). Filled by
   /// `Eval`/`EvalGeneral`/`EvalDownward`; the EXPLAIN facility reads it.
   struct RunInfo {
     enum class Dispatch {
-      kRegisterMachine,    // hybrid: register machine within budget
-      kDownwardFallback,   // hybrid: budget blown, re-ran as the sweep
-      kDownwardDirect,     // EvalDownward called directly
-      kGeneral,            // register machine, unbounded (no downward
-                           // compilation, or EvalGeneral called directly)
+      kRegisterMachine,  // Eval, downward plan, tree within the limit
+      kDownwardSweep,    // Eval, downward plan, tree over the limit
+      kDownwardDirect,   // EvalDownward called directly
+      kGeneral,          // register machine: no downward compilation, or
+                         // EvalGeneral called directly
     };
     Dispatch dispatch = Dispatch::kGeneral;
     int64_t star_rounds_used = 0;
-    int64_t star_round_budget = 0;  // 0 = unbounded
+    // Eval's choice on a downward plan: the tree height H, R(H) and the
+    // budget it was held against. All 0 for the other dispatches.
+    int64_t tree_height = 0;
+    int64_t star_round_bound = 0;
+    int64_t star_round_budget = 0;
     int64_t instrs_executed = 0;
     // True iff this run was abandoned by the deadline/cancel probe (see
     // SetDeadline). The returned bitset is empty and meaningless; callers
@@ -85,25 +89,27 @@ class ExecEngine {
     // Transfer entries (distinct (label class, K-aggregate) keys) the
     // downward sweep built; 0 when no sweep ran.
     int64_t transfer_entries = 0;
-    // Execution count per instruction index; on a fallback these hold the
-    // abandoned register-machine prefix. Empty for kDownwardDirect.
+    // Execution count per instruction index of a register-machine run.
+    // Empty when the sweep ran.
     std::vector<int64_t> instr_execs;
   };
   static const char* DispatchName(RunInfo::Dispatch dispatch);
+  /// `exec.dispatch.<name>`, but kDownwardSweep counts under
+  /// `exec.dispatch.downward_fallback`.
+  static const char* DispatchCounterName(RunInfo::Dispatch dispatch);
   const RunInfo& last_run() const { return last_run_; }
 
   /// Per-request deadline hook — the serving layer's admission-control
   /// contract (see src/server/). `deadline_ns` is an absolute timestamp on
   /// the `SteadyNowNs` clock; 0 disarms. The deadline is probed
-  /// cooperatively at *star-round boundaries* — the same unit the hybrid
-  /// dispatch already budgets, and the only place a run's work is not
-  /// statically bounded — plus at run entry, and in a `W` pass at its start
-  /// and once per 64 subtree contexts. Enforcement granularity is therefore
-  /// one star round (O(body·n/64) work), 64 `W` contexts, or one
-  /// straight-line pass; an expired run is abandoned (a `W` pass it cut
-  /// short stores nothing), the hybrid fallback is skipped, and
-  /// `last_run().deadline_expired` is set (the returned bitset is empty
-  /// and must be discarded). Sticky across
+  /// cooperatively at *star-round boundaries* — the only place a
+  /// register-machine run's work is not fixed by its code and the tree —
+  /// plus at run entry, and in a `W` pass at its start and once per 64
+  /// subtree contexts. Enforcement granularity is therefore one star round
+  /// (O(body·n/64) work), 64 `W` contexts, or one straight-line pass or
+  /// sweep; an expired run is abandoned (a `W` pass it cut short stores
+  /// nothing) and `last_run().deadline_expired` is set (the returned
+  /// bitset is empty and must be discarded). Sticky across
   /// runs until re-armed or cleared; `exec.deadline_expired` counts
   /// abandoned runs.
   void SetDeadline(int64_t deadline_ns) { deadline_ns_ = deadline_ns; }
@@ -127,19 +133,15 @@ class ExecEngine {
 
  private:
   /// Executes [begin, end) of `program` over the window [lo_, hi_) on the
-  /// register bank `regs`; returns false iff the star-round budget ran out
-  /// (only possible under `Eval`'s hybrid dispatch — `EvalGeneral` and `W`
-  /// passes run with an unbounded budget) or the deadline probe fired.
+  /// register bank `regs`; returns false iff the deadline probe fired.
   /// `instr_execs` (per-instruction counts of the top-level run) is null
   /// for `W` body passes, which the run's totals do not count.
   bool RunRange(const Program& program, int begin, int end, Bitset* regs,
                 int64_t* instr_execs);
-  /// Runs the top-level code of `program` on the main bank; false as for
-  /// RunRange. `RunGeneral` wraps it as an unbounded, accounted run.
-  bool RunMain(const Program& program);
-  /// The one-pass downward sweep; records its transfer entries.
-  Bitset RunSweep(const Program& program);
-  Bitset RunGeneral(const Program& program);
+  /// One accounted run of the top-level code on the main register bank.
+  Bitset RunRegisters(const Program& program, RunInfo::Dispatch dispatch);
+  /// One accounted run of the one-pass downward sweep.
+  Bitset RunSweep(const Program& program, RunInfo::Dispatch dispatch);
   const Bitset& LabelSet(Symbol label);
 
   /// Makes `within_sets_[w]` point at the `W` set of body `w` of
@@ -158,8 +160,7 @@ class ExecEngine {
   /// Resets `last_run_` for a fresh evaluation of `program`, then (on
   /// completion) `FinishRun` publishes the per-run totals to the registry
   /// and the active trace span, if any.
-  void BeginRun(const Program& program, RunInfo::Dispatch dispatch,
-                int64_t budget);
+  void BeginRun(const Program& program, RunInfo::Dispatch dispatch);
   void FinishRun(const Bitset* result);
   /// Marks the current run deadline-expired, publishes it, and returns the
   /// (empty, to-be-discarded) result.
@@ -181,10 +182,8 @@ class ExecEngine {
   // during a W pass.
   int lo_ = 0;
   int hi_ = 0;
-  int64_t star_rounds_left_ = 0;  // per-run star-round budget (see Eval)
-  int64_t deadline_ns_ = 0;       // 0 = no deadline armed
+  int64_t deadline_ns_ = 0;  // 0 = no deadline armed
   const std::atomic<bool>* cancel_flag_ = nullptr;
-  bool last_used_downward_ = false;
   RunInfo last_run_;
   // Label index: refs into the shared TreeCache when attached (lock-free
   // after first touch), else locally built sets.

@@ -243,6 +243,13 @@ class Lowerer {
         break;
       }
       case PathOp::kSeq: {
+        // p/p* and p*/p are p+ (the parser spells it p/p*): one strict
+        // star lowers p once. Lowered as a sequence, p would be lowered
+        // once per target register, doubling the code per nested `+`.
+        if (const PathPtr* body = PlusBody(*path)) {
+          reg = LowerStar(*body, targets, seq, /*strict=*/true);
+          break;
+        }
         const int mid = LowerPathBack(path->right, targets, seq);
         reg = LowerPathBack(path->left, mid, seq);
         break;
@@ -261,39 +268,54 @@ class Lowerer {
         reg = LowerPathBack(path->left, kept, seq);
         break;
       }
-      case PathOp::kStar: {
-        // Closure collapse: a star whose body is one bare axis step is the
-        // reflexive-transitive closure of that step — when the closure is
-        // itself a one-pass streaming kernel, emit one closure instruction
-        // (dst := targets ∪ closure-image(targets)) instead of the
-        // O(rounds) fixpoint loop below. The body axis is inverted first
-        // because this lowering computes backward images.
-        Axis closure;
-        if (axis::ClosureCollapseEnabled() &&
-            path->left->op == PathOp::kAxis &&
-            TransitiveClosureAxis(InverseAxis(path->left->axis), &closure)) {
-          Instr ins = Make(ClosureOpFor(closure), targets);
-          ins.axis = closure;
-          reg = Emit(seq, ins);
-          break;
-        }
-        // Semi-naive closure: the body maps the frontier `in` one p-step
-        // back to `out`; the engine accumulates into dst until empty.
-        const int body = NewSeq();
-        Instr ins;
-        ins.op = Op::kStar;
-        ins.a = targets;
-        ins.in = NewVreg();
-        ins.out = LowerPathBack(path->left, ins.in, body);
-        ins.dst = NewVreg();
-        ins.body_begin = body;  // sequence id; linearization rewrites
-        Append(seq, ins);
-        reg = ins.dst;
+      case PathOp::kStar:
+        reg = LowerStar(path->left, targets, seq, /*strict=*/false);
         break;
-      }
     }
     seqs_[static_cast<size_t>(seq)].path_memo.emplace(key, reg);
     return reg;
+  }
+
+  // The p of p/p* or p*/p (shared, as the parser and the simplifier leave
+  // it), else null.
+  static const PathPtr* PlusBody(const PathExpr& seq) {
+    if (seq.right->op == PathOp::kStar && seq.right->left == seq.left) {
+      return &seq.left;
+    }
+    if (seq.left->op == PathOp::kStar && seq.left->left == seq.right) {
+      return &seq.right;
+    }
+    return nullptr;
+  }
+
+  // Register holding the back-image of p* (or of p+ if `strict`).
+  int LowerStar(const PathPtr& p, int targets, int seq, bool strict) {
+    // Closure collapse: a star whose body is one bare axis step is the
+    // transitive closure of that step — when the closure is itself a
+    // one-pass streaming kernel, emit one instruction (dst := targets ∪
+    // closure-image(targets), or the bare image for p+) instead of the
+    // O(rounds) fixpoint loop below. The body axis is inverted first
+    // because this lowering computes backward images.
+    Axis closure;
+    if (axis::ClosureCollapseEnabled() && p->op == PathOp::kAxis &&
+        TransitiveClosureAxis(InverseAxis(p->axis), &closure)) {
+      Instr ins = Make(strict ? Op::kAxis : ClosureOpFor(closure), targets);
+      ins.axis = closure;
+      return Emit(seq, ins);
+    }
+    // Semi-naive closure: the body maps the frontier `in` one p-step
+    // back to `out`; the engine accumulates into dst until empty.
+    const int body = NewSeq();
+    Instr ins;
+    ins.op = Op::kStar;
+    ins.strict = strict;
+    ins.a = targets;
+    ins.in = NewVreg();
+    ins.out = LowerPathBack(p, ins.in, body);
+    ins.dst = NewVreg();
+    ins.body_begin = body;  // sequence id; linearization rewrites
+    Append(seq, ins);
+    return ins.dst;
   }
 
   WithinIndex within_index_;
@@ -570,7 +592,72 @@ std::shared_ptr<const Program> Program::Compile(const NodePtr& query) {
       stats.bit_ops = static_cast<int>(program->downward_->code().size());
     }
   }
+  program->CountStars(0, program->main_end_, 1);
+  program->register_height_limit_ = program->RegisterHeightLimit();
   return program;
+}
+
+void Program::CountStars(int begin, int end, int depth) {
+  for (int i = begin; i < end; ++i) {
+    const Instr& ins = code_[static_cast<size_t>(i)];
+    if (ins.op != Op::kStar) continue;
+    if (static_cast<int>(stars_at_depth_.size()) < depth) {
+      stars_at_depth_.resize(static_cast<size_t>(depth), 0);
+    }
+    ++stars_at_depth_[static_cast<size_t>(depth - 1)];
+    CountStars(ins.body_begin, ins.body_end, depth + 1);
+  }
+}
+
+int64_t Program::StarRoundBound(int height) const {
+  // In a downward plan every star body is a downward path, so its back
+  // image only climbs: a shortest p-chain from a node to the seed has no
+  // self step (it could be cut out; p+ keeps at most one) and so at most
+  // max(H, 1) steps. Round r of the semi-naive loop adds the nodes whose
+  // shortest chain has r steps, and one more round finds nothing new:
+  // max(H, 1) + 1 rounds per run of a loop, which runs once per round of
+  // each loop around it.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t base = std::max(height, 1) + int64_t{1};
+  int64_t total = 0;
+  int64_t rounds = 1;  // base^depth
+  for (const int stars : stars_at_depth_) {
+    rounds = rounds > kMax / base ? kMax : rounds * base;
+    const int64_t add = rounds > kMax / stars ? kMax : rounds * stars;
+    total = add > kMax - total ? kMax : total + add;
+  }
+  return total;
+}
+
+// The sweep is a table probe per node plus one bit-program interpretation
+// per transfer entry (at most n), so it grows with bit_ops only through its
+// misses. Measured (4-core x86, min of 11 runs): one sweep costs as much as
+// 100–180 average star rounds on big_batch text 2's 262k-node caterpillar
+// and comb (sweep 2.2–3.1 ms, 16–23 µs per round) and on exp12's 16k–64k
+// adversarial chain (sweep 0.11–0.47 ms, 0.8–4 µs per round). Early rounds
+// are the dense, dear ones (there the first 81 rounds cost 2.9–3.4 ms), so
+// the budget sits below that: 32 + 2·bit_ops.
+int64_t Program::star_round_budget() const {
+  return 32 + 2 * static_cast<int64_t>(stats_.bit_ops);
+}
+
+int Program::RegisterHeightLimit() const {
+  if (!within_bodies_.empty()) return -1;
+  if (stars_at_depth_.empty()) return std::numeric_limits<int>::max();
+  // R is increasing in H, and R(H) ≥ H + 1 once there is a star, so the
+  // limit lies in [-1, budget).
+  const int64_t budget = star_round_budget();
+  int ok = -1;
+  int64_t over = budget;
+  while (over - ok > 1) {
+    const int mid = static_cast<int>(ok + (over - ok) / 2);
+    if (StarRoundBound(mid) <= budget) {
+      ok = mid;
+    } else {
+      over = mid;
+    }
+  }
+  return ok;
 }
 
 namespace {
@@ -606,7 +693,8 @@ std::string InstrString(const Instr& ins, const Alphabet& alphabet,
       os << "axis " << AxisToString(ins.axis) << " r" << ins.a;
       break;
     case Op::kStar:
-      os << "star r" << ins.a << " body=[" << ins.body_begin << ","
+      os << (ins.strict ? "plus r" : "star r") << ins.a << " body=["
+         << ins.body_begin << ","
          << ins.body_end << ") in=r" << ins.in << " out=r" << ins.out;
       break;
     case Op::kWithin:

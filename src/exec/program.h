@@ -29,7 +29,9 @@ enum class Op : uint8_t {
             //        lowering of ⟨p⟩ computes backward images)
   kStar,    // dst := reflexive-transitive back-image closure of a; the
             //        loop body [body_begin, body_end) maps register `in`
-            //        (current frontier) to register `out` (one p-step)
+            //        (current frontier) to register `out` (one p-step).
+            //        A `strict` star (p+) leaves out the seed: dst starts
+            //        empty and holds only nodes one or more p-steps back
   kWithin,  // dst := {v : body holds at v in T|v}, read from the engine's
             //        per-tree W set; the body is a sub-program of its own
             //        (Program::within_bodies), run once per tree bottom-up
@@ -57,6 +59,7 @@ struct Instr {
   int body_end = 0;
   int in = -1;   // kStar: frontier register read by the body
   int out = -1;  // kStar: one-step image register written by the body
+  bool strict = false;  // kStar: p+ rather than p*
   int within = -1;  // kWithin: index into the root's within_bodies()
 };
 
@@ -155,6 +158,25 @@ class Program {
   /// Non-null iff the plan is downward-compilable.
   const DownwardProgram* downward() const { return downward_.get(); }
 
+  /// R(H): an upper bound on the star rounds one top-level run of this
+  /// program takes on the register machine over a tree of height `height`,
+  /// if the plan is downward (DESIGN §10.4). It is the sum, over the star
+  /// loops of the top-level code, of (max(H, 1) + 1)^d for a loop at
+  /// nesting depth d (1 outermost). Saturates at INT64_MAX.
+  int64_t StarRoundBound(int height) const;
+
+  /// The star rounds a downward program may spend on the register machine
+  /// before the one-pass sweep would have been cheaper: 32 + 2·bit_ops.
+  int64_t star_round_budget() const;
+
+  /// The largest tree height H with R(H) ≤ star_round_budget(), fixed at
+  /// compile time: `ExecEngine::Eval` runs a downward program on the
+  /// register machine iff the tree is at most this tall, and on the sweep
+  /// otherwise. INT_MAX for a star-free program; -1 (always the sweep)
+  /// when R(0) is over budget or a `W` pass is left, since the windowed
+  /// pass is not linear. Meaningless without `downward()`.
+  int register_height_limit() const { return register_height_limit_; }
+
   /// Deterministic disassembly (used by lowering-determinism tests): the
   /// top-level code, then each `W` body's sub-program.
   std::string ToString(const Alphabet& alphabet) const;
@@ -175,6 +197,10 @@ class Program {
                                         WithinTable* table);
   std::string CodeToString(const Alphabet& alphabet,
                            const std::vector<WithinBody>& bodies) const;
+  /// Adds the star loops of [begin, end), at nesting depth `depth`, to
+  /// `stars_at_depth_`.
+  void CountStars(int begin, int end, int depth);
+  int RegisterHeightLimit() const;
 
   std::vector<Instr> code_;
   int main_end_ = 0;
@@ -185,6 +211,8 @@ class Program {
   std::vector<NodePtr> dropped_windows_;
   std::vector<WithinBody> within_bodies_;
   std::unique_ptr<const DownwardProgram> downward_;
+  std::vector<int> stars_at_depth_;  // [d - 1]: top-level star loops at depth d
+  int register_height_limit_ = -1;
 };
 
 /// Structural check over a finished (register-allocated) program: operand

@@ -116,19 +116,21 @@ bool TraceMatchesRegistry(const RequestTrace& trace, const Snapshot& delta,
     }
   }
   // Dispatch decisions: each trace note `dispatch: <name>` must correspond
-  // to exactly one increment of the matching exec.dispatch.<name> counter.
-  for (const char* name :
-       {"register_machine", "downward_fallback", "downward_direct",
-        "general"}) {
-    const int64_t from_trace =
-        CountNotes(root, std::string("dispatch: ") + name);
-    const int64_t from_registry =
-        DeltaCounter(delta, std::string("exec.dispatch.") + name);
+  // to exactly one increment of that dispatch's exec.dispatch counter.
+  using Dispatch = exec::ExecEngine::RunInfo::Dispatch;
+  for (const Dispatch dispatch :
+       {Dispatch::kRegisterMachine, Dispatch::kDownwardSweep,
+        Dispatch::kDownwardDirect, Dispatch::kGeneral}) {
+    const char* counter = exec::ExecEngine::DispatchCounterName(dispatch);
+    const int64_t from_trace = CountNotes(
+        root, std::string("dispatch: ") +
+                  exec::ExecEngine::DispatchName(dispatch));
+    const int64_t from_registry = DeltaCounter(delta, counter);
     if (from_trace != from_registry) {
       ok = false;
-      mismatches->push_back(std::string("exec.dispatch.") + name +
-                            ": trace=" + std::to_string(from_trace) +
-                            " registry=" + std::to_string(from_registry));
+      mismatches->push_back(std::string(counter) + ": trace=" +
+                            std::to_string(from_trace) + " registry=" +
+                            std::to_string(from_registry));
     }
   }
   // Axis density dispatch: every kernel invocation adds 1 to exactly one of
@@ -278,8 +280,14 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
     }
     r.append(",\n  \"star_rounds_used\": ");
     r.append(std::to_string(run.star_rounds_used));
-    r.append(",\n  \"star_round_budget\": ");
-    r.append(std::to_string(run.star_round_budget));
+    if (run.star_round_budget > 0) {
+      r.append(",\n  \"tree_height\": ");
+      r.append(std::to_string(run.tree_height));
+      r.append(",\n  \"star_round_bound\": ");
+      r.append(std::to_string(run.star_round_bound));
+      r.append(",\n  \"star_round_budget\": ");
+      r.append(std::to_string(run.star_round_budget));
+    }
     r.append(",\n  \"windows_dropped\": [");
     for (size_t i = 0; i < program.dropped_windows().size(); ++i) {
       if (i > 0) r.append(", ");
@@ -331,14 +339,23 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
     os << "\n";
   }
   os << "\n";
-  os << "dispatch: " << dispatch;
-  if (run.transfer_entries > 0) {
-    os << " (transfer_entries=" << run.transfer_entries << ")";
+  std::ostringstream why;
+  if (run.star_round_budget > 0) {
+    // Why Eval picked this engine (DESIGN §10.4).
+    why << "tree height " << run.tree_height << ": R(H) = "
+        << run.star_round_bound
+        << (run.star_round_bound <= run.star_round_budget ? " <= " : " > ")
+        << "budget " << run.star_round_budget;
+    if (!program.within_bodies().empty()) why << ", a W pass is left";
   }
+  if (run.transfer_entries > 0) {
+    if (why.tellp() > 0) why << "; ";
+    why << "transfer_entries=" << run.transfer_entries;
+  }
+  os << "dispatch: " << dispatch;
+  if (why.tellp() > 0) os << " (" << why.str() << ")";
   os << "\n";
-  os << "star rounds: used " << run.star_rounds_used;
-  if (run.star_round_budget > 0) os << " of budget " << run.star_round_budget;
-  os << "\n";
+  os << "star rounds: used " << run.star_rounds_used << "\n";
   os << "result: " << compiled_result.Count() << "/" << tree->size()
      << " nodes\n";
   os << "cross-check: "

@@ -268,7 +268,9 @@ class BatchOracle : public Oracle {
 /// The compiled execution backend: each case is lowered to a DAG bytecode
 /// program (hash-consing, register allocation) and run on the general
 /// register machine — deliberately bypassing the downward fast path so the
-/// bytecode interpreter itself is what gets cross-checked.
+/// bytecode interpreter itself is what gets cross-checked. On a downward
+/// plan it also checks the theorem `Eval`'s dispatch rests on: the run took
+/// at most R(H) star rounds (DESIGN §10.4).
 class ExecOracle : public Oracle {
  public:
   ExecOracle()
@@ -278,7 +280,16 @@ class ExecOracle : public Oracle {
     std::shared_ptr<const exec::Program> program =
         exec::Program::Compile(query);
     exec::ExecEngine engine(tree);
-    return engine.EvalGeneral(*program);
+    Bitset result = engine.EvalGeneral(*program);
+    const int64_t rounds = engine.last_run().star_rounds_used;
+    const int64_t bound = program->StarRoundBound(tree.Height());
+    if (program->downward() != nullptr && rounds > bound) {
+      return Status::Internal("downward plan took " + std::to_string(rounds) +
+                              " star rounds, over R(H) = " +
+                              std::to_string(bound) + " at tree height " +
+                              std::to_string(tree.Height()));
+    }
+    return result;
   }
 };
 

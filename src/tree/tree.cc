@@ -6,12 +6,6 @@
 
 namespace xptc {
 
-int Tree::Height() const {
-  int height = 0;
-  for (int v = 0; v < size(); ++v) height = std::max(height, depth_[Index(v)]);
-  return height;
-}
-
 NodeId Tree::LowestCommonAncestor(NodeId a, NodeId b) const {
   // Walk the deeper node up until the subtree-interval test succeeds;
   // O(depth) with O(1) containment checks.
@@ -41,6 +35,7 @@ Tree Tree::ExtractSubtree(NodeId v) const {
     out.first_child_[i] = remap(FirstChild(w));
     out.last_child_[i] = remap(LastChild(w));
     out.depth_[i] = Depth(w) - base_depth;
+    out.height_ = std::max(out.height_, out.depth_[i]);
     out.subtree_end_[i] = SubtreeEnd(w) - v;
     out.subtree_size_[i] = SubtreeSize(w);
     out.child_count_[i] = ChildCount(w);
@@ -207,7 +202,9 @@ NodeId TreeBuilder::Begin(Symbol label) {
     ++root_count_;
   } else {
     ++tree_.child_count_[static_cast<size_t>(parent)];
-    tree_.depth_.push_back(tree_.depth_[static_cast<size_t>(parent)] + 1);
+    const int depth = tree_.depth_[static_cast<size_t>(parent)] + 1;
+    tree_.depth_.push_back(depth);
+    tree_.height_ = std::max(tree_.height_, depth);
     const NodeId prev = tree_.last_child_[static_cast<size_t>(parent)];
     if (prev == kNoNode) {
       tree_.first_child_[static_cast<size_t>(parent)] = id;

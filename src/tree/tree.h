@@ -97,8 +97,9 @@ class Tree {
     return out;
   }
 
-  /// Maximum depth over all nodes (root has depth 0).
-  int Height() const;
+  /// Maximum depth over all nodes (root has depth 0). O(1): kept by the
+  /// builder and `ExtractSubtree` as they fill the depth column.
+  int Height() const { return height_; }
 
   /// Lowest common ancestor of two nodes (possibly one of them).
   NodeId LowestCommonAncestor(NodeId a, NodeId b) const;
@@ -152,6 +153,7 @@ class Tree {
   std::vector<NodeId> subtree_end_;
   std::vector<int> subtree_size_;
   std::vector<int> child_count_;
+  int height_ = 0;
 };
 
 /// Incremental preorder construction of a `Tree`:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -342,36 +343,64 @@ PathPtr MakeTest(NodePtr pred) {
 }
 PathPtr MakePlus(PathPtr path) { return MakeSeq(path, MakeStar(path)); }
 
-int PathSize(const PathExpr& path) {
-  switch (path.op) {
-    case PathOp::kAxis:
-      return 1;
-    case PathOp::kSeq:
-    case PathOp::kUnion:
-      return 1 + PathSize(*path.left) + PathSize(*path.right);
-    case PathOp::kFilter:
-      return 1 + PathSize(*path.left) + NodeSize(*path.pred);
-    case PathOp::kStar:
-      return 1 + PathSize(*path.left);
+namespace {
+
+// PathSize/NodeSize over the DAG, in int64 so an unfolding past INT_MAX
+// saturates instead of overflowing.
+class Sizer {
+ public:
+  int64_t Of(const PathExpr& path) {
+    switch (path.op) {
+      case PathOp::kAxis:
+        return 1;
+      case PathOp::kSeq:
+      case PathOp::kUnion:
+        return 1 + Sub(path.left) + Sub(path.right);
+      case PathOp::kFilter:
+        return 1 + Sub(path.left) + Sub(path.pred);
+      case PathOp::kStar:
+        return 1 + Sub(path.left);
+    }
+    return 0;
   }
-  return 0;
+  int64_t Of(const NodeExpr& node) {
+    switch (node.op) {
+      case NodeOp::kLabel:
+      case NodeOp::kTrue:
+        return 1;
+      case NodeOp::kNot:
+      case NodeOp::kWithin:
+        return 1 + Sub(node.left);
+      case NodeOp::kAnd:
+      case NodeOp::kOr:
+        return 1 + Sub(node.left) + Sub(node.right);
+      case NodeOp::kSome:
+        return 1 + Sub(node.path);
+    }
+    return 0;
+  }
+
+ private:
+  static constexpr int64_t kMax = std::numeric_limits<int>::max();
+  template <class Ptr>
+  int64_t Sub(const Ptr& child) {
+    return std::min(kMax, memo_.Get(child, [this](const auto& e) {
+                      return Of(*e);
+                    }));
+  }
+  SharedExprMemo<int64_t> memo_;
+};
+
+}  // namespace
+
+int PathSize(const PathExpr& path) {
+  return static_cast<int>(
+      std::min<int64_t>(Sizer().Of(path), std::numeric_limits<int>::max()));
 }
 
 int NodeSize(const NodeExpr& node) {
-  switch (node.op) {
-    case NodeOp::kLabel:
-    case NodeOp::kTrue:
-      return 1;
-    case NodeOp::kNot:
-    case NodeOp::kWithin:
-      return 1 + NodeSize(*node.left);
-    case NodeOp::kAnd:
-    case NodeOp::kOr:
-      return 1 + NodeSize(*node.left) + NodeSize(*node.right);
-    case NodeOp::kSome:
-      return 1 + PathSize(*node.path);
-  }
-  return 0;
+  return static_cast<int>(
+      std::min<int64_t>(Sizer().Of(node), std::numeric_limits<int>::max()));
 }
 
 int PathWithinDepth(const PathExpr& path) {
@@ -453,24 +482,6 @@ size_t CombineHash(size_t seed, size_t value) {
 }
 }  // namespace
 
-size_t PathHash(const PathExpr& path) {
-  size_t h = CombineHash(0x517cc1b7u, static_cast<size_t>(path.op));
-  switch (path.op) {
-    case PathOp::kAxis:
-      return CombineHash(h, static_cast<size_t>(path.axis));
-    case PathOp::kSeq:
-    case PathOp::kUnion:
-      return CombineHash(CombineHash(h, PathHash(*path.left)),
-                         PathHash(*path.right));
-    case PathOp::kFilter:
-      return CombineHash(CombineHash(h, PathHash(*path.left)),
-                         NodeHash(*path.pred));
-    case PathOp::kStar:
-      return CombineHash(h, PathHash(*path.left));
-  }
-  return h;
-}
-
 ShallowKey ShallowKeyOf(const PathExpr& path) {
   return ShallowKey{static_cast<int>(path.op), static_cast<int>(path.axis),
                     path.left.get(), path.right.get(), path.pred.get()};
@@ -489,25 +500,57 @@ size_t ShallowKeyHash::operator()(const ShallowKey& key) const {
   return CombineHash(h, reinterpret_cast<size_t>(key.c));
 }
 
-size_t NodeHash(const NodeExpr& node) {
-  size_t h = CombineHash(0x9e3779b9u, static_cast<size_t>(node.op));
-  switch (node.op) {
-    case NodeOp::kLabel:
-      return CombineHash(h, static_cast<size_t>(node.label));
-    case NodeOp::kTrue:
-      return h;
-    case NodeOp::kNot:
-    case NodeOp::kWithin:
-      return CombineHash(h, NodeHash(*node.left));
-    case NodeOp::kAnd:
-    case NodeOp::kOr:
-      return CombineHash(CombineHash(h, NodeHash(*node.left)),
-                         NodeHash(*node.right));
-    case NodeOp::kSome:
-      return CombineHash(h, PathHash(*node.path));
+namespace {
+
+// PathHash/NodeHash, hashing each shared subexpression once.
+class Hasher {
+ public:
+  size_t Of(const PathExpr& path) {
+    const size_t h = CombineHash(0x517cc1b7u, static_cast<size_t>(path.op));
+    switch (path.op) {
+      case PathOp::kAxis:
+        return CombineHash(h, static_cast<size_t>(path.axis));
+      case PathOp::kSeq:
+      case PathOp::kUnion:
+        return CombineHash(CombineHash(h, Sub(path.left)), Sub(path.right));
+      case PathOp::kFilter:
+        return CombineHash(CombineHash(h, Sub(path.left)), Sub(path.pred));
+      case PathOp::kStar:
+        return CombineHash(h, Sub(path.left));
+    }
+    return h;
   }
-  return h;
-}
+  size_t Of(const NodeExpr& node) {
+    const size_t h = CombineHash(0x9e3779b9u, static_cast<size_t>(node.op));
+    switch (node.op) {
+      case NodeOp::kLabel:
+        return CombineHash(h, static_cast<size_t>(node.label));
+      case NodeOp::kTrue:
+        return h;
+      case NodeOp::kNot:
+      case NodeOp::kWithin:
+        return CombineHash(h, Sub(node.left));
+      case NodeOp::kAnd:
+      case NodeOp::kOr:
+        return CombineHash(CombineHash(h, Sub(node.left)), Sub(node.right));
+      case NodeOp::kSome:
+        return CombineHash(h, Sub(node.path));
+    }
+    return h;
+  }
+
+ private:
+  template <class Ptr>
+  size_t Sub(const Ptr& child) {
+    return memo_.Get(child, [this](const auto& e) { return Of(*e); });
+  }
+  SharedExprMemo<size_t> memo_;
+};
+
+}  // namespace
+
+size_t PathHash(const PathExpr& path) { return Hasher().Of(path); }
+size_t NodeHash(const NodeExpr& node) { return Hasher().Of(node); }
 
 namespace {
 

@@ -6,6 +6,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 #include "common/alphabet.h"
 
@@ -140,7 +141,37 @@ PathPtr MakePlus(PathPtr path);     // p+ := p/p*
 // ---------------------------------------------------------------------------
 // Structural utilities.
 
-/// Number of AST nodes (a standard size measure for complexity sweeps).
+/// Per-call memo for a bottom-up walk over an expression DAG: `Get(child,
+/// fn)` returns `fn(child)`. Past the first `kPlainVisits` children of a
+/// walk it applies `fn` to a child held by more than one owner
+/// (use_count > 1) once and then answers from the memo, so a DAG built by
+/// sharing (the parser's p+ = p/p*) costs its distinct nodes, not its
+/// unfolding, while a plan of ordinary size never touches the map. The
+/// walks below (size, hash, fragment checks) and `W` confinement use it.
+template <class V>
+class SharedExprMemo {
+ public:
+  static constexpr int kPlainVisits = 4096;
+
+  template <class Ptr, class Fn>
+  V Get(const Ptr& child, Fn&& fn) {
+    if (plain_visits_ < kPlainVisits || child.use_count() <= 1) {
+      ++plain_visits_;
+      return fn(child);
+    }
+    if (auto it = memo_.find(child.get()); it != memo_.end()) return it->second;
+    V value = fn(child);
+    memo_.emplace(child.get(), value);
+    return value;
+  }
+
+ private:
+  int plain_visits_ = 0;
+  std::unordered_map<const void*, V> memo_;
+};
+
+/// Number of AST nodes of the unfolded tree (a standard size measure for
+/// complexity sweeps); saturates at INT_MAX.
 int PathSize(const PathExpr& path);
 int NodeSize(const NodeExpr& node);
 

@@ -13,40 +13,60 @@ struct FragmentSpec {
   bool allow_within;
 };
 
-bool CheckPath(const PathExpr& path, const FragmentSpec& spec);
-bool CheckNode(const NodeExpr& node, const FragmentSpec& spec);
+// The conjunction over a DAG: a shared child that passed is not walked
+// again (one that failed ends the walk).
+class Checker {
+ public:
+  explicit Checker(const FragmentSpec& spec) : spec_(spec) {}
+
+  bool Of(const PathExpr& path) {
+    switch (path.op) {
+      case PathOp::kAxis:
+        return spec_.axis_ok(path.axis);
+      case PathOp::kSeq:
+      case PathOp::kUnion:
+        return Sub(path.left) && Sub(path.right);
+      case PathOp::kFilter:
+        return Sub(path.left) && Sub(path.pred);
+      case PathOp::kStar:
+        return spec_.allow_star && Sub(path.left);
+    }
+    return false;
+  }
+
+  bool Of(const NodeExpr& node) {
+    switch (node.op) {
+      case NodeOp::kLabel:
+      case NodeOp::kTrue:
+        return true;
+      case NodeOp::kNot:
+        return Sub(node.left);
+      case NodeOp::kWithin:
+        return spec_.allow_within && Sub(node.left);
+      case NodeOp::kAnd:
+      case NodeOp::kOr:
+        return Sub(node.left) && Sub(node.right);
+      case NodeOp::kSome:
+        return Sub(node.path);
+    }
+    return false;
+  }
+
+ private:
+  template <class Ptr>
+  bool Sub(const Ptr& child) {
+    return memo_.Get(child, [this](const auto& e) { return Of(*e); });
+  }
+  const FragmentSpec& spec_;
+  SharedExprMemo<bool> memo_;
+};
 
 bool CheckPath(const PathExpr& path, const FragmentSpec& spec) {
-  switch (path.op) {
-    case PathOp::kAxis:
-      return spec.axis_ok(path.axis);
-    case PathOp::kSeq:
-    case PathOp::kUnion:
-      return CheckPath(*path.left, spec) && CheckPath(*path.right, spec);
-    case PathOp::kFilter:
-      return CheckPath(*path.left, spec) && CheckNode(*path.pred, spec);
-    case PathOp::kStar:
-      return spec.allow_star && CheckPath(*path.left, spec);
-  }
-  return false;
+  return Checker(spec).Of(path);
 }
 
 bool CheckNode(const NodeExpr& node, const FragmentSpec& spec) {
-  switch (node.op) {
-    case NodeOp::kLabel:
-    case NodeOp::kTrue:
-      return true;
-    case NodeOp::kNot:
-      return CheckNode(*node.left, spec);
-    case NodeOp::kWithin:
-      return spec.allow_within && CheckNode(*node.left, spec);
-    case NodeOp::kAnd:
-    case NodeOp::kOr:
-      return CheckNode(*node.left, spec) && CheckNode(*node.right, spec);
-    case NodeOp::kSome:
-      return CheckPath(*node.path, spec);
-  }
-  return false;
+  return Checker(spec).Of(node);
 }
 
 bool AnyAxis(Axis) { return true; }

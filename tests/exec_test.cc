@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -344,50 +345,6 @@ TEST(ExecEngineTest, StarScheduleRegressions) {
   }
 }
 
-TEST(ExecEngineTest, HybridDispatchFallsBackOnDeepSparseStars) {
-  // `Eval` runs downward-compilable programs on the register machine with
-  // a star-round budget. A deep chain whose star seed is one node at the
-  // bottom forces ~depth rounds — the quadratic regime — so the engine
-  // must abandon the run and re-execute as the one-pass sweep, with the
-  // identical answer. A shallow tree stays on the register machine.
-  //
-  // A bare-axis star now lowers to a one-pass closure op (kAncMark here),
-  // which never loops, so the fixpoint-budget machinery is exercised with
-  // closure collapse disabled.
-  axis::SetClosureCollapseForTesting(false);
-  Alphabet alphabet;
-  const Symbol a = alphabet.Intern("a");
-  const Symbol b = alphabet.Intern("b");
-  const int depth = 3000;
-  TreeBuilder builder;
-  for (int i = 0; i < depth; ++i) builder.Begin(i == depth - 1 ? b : a);
-  for (int i = 0; i < depth; ++i) builder.End();
-  const Tree chain = std::move(builder).Finish().ValueOrDie();
-  NodePtr query = N("<(child)*[b]>", &alphabet);
-  auto program = Program::Compile(query);
-  ASSERT_NE(program->downward(), nullptr);
-  ExecEngine engine(chain);
-  const Bitset answer = engine.Eval(*program);
-  EXPECT_TRUE(engine.last_used_downward());  // budget blew, sweep ran
-  EXPECT_EQ(answer, Interpret(chain, query));
-  EXPECT_EQ(answer, engine.EvalGeneral(*program));
-
-  const Tree shallow = T("a(a(b), a, b(a))", &alphabet);
-  ExecEngine shallow_engine(shallow);
-  EXPECT_EQ(shallow_engine.Eval(*program), Interpret(shallow, query));
-  EXPECT_FALSE(shallow_engine.last_used_downward());
-  axis::ResetClosureCollapseForTesting();
-
-  // With closure collapse on (the default), the same deep-chain star is a
-  // single closure instruction: the register machine finishes with no
-  // fixpoint rounds and no fallback, bit-for-bit identical.
-  auto collapsed = Program::Compile(query);
-  ExecEngine collapsed_engine(chain);
-  EXPECT_EQ(collapsed_engine.Eval(*collapsed), answer);
-  EXPECT_FALSE(collapsed_engine.last_used_downward());
-  EXPECT_EQ(collapsed_engine.last_run().star_rounds_used, 0);
-}
-
 // ------------------------------------------------------- downward sweep
 
 Tree Generated(TreeShape shape, int nodes, const std::vector<Symbol>& labels,
@@ -452,7 +409,7 @@ TEST(ExecDownwardTest, LoweringValueNumbersRepeatedSubexpressions) {
 }
 
 TEST(ExecDownwardTest, SweepMatchesOnServingBatchTextOnDeepTrees) {
-  // big_batch's second text, the one that falls back to the sweep on the
+  // big_batch's second text, the one that takes the sweep on the
   // serving benchmark's deep trees, at 16k nodes.
   Alphabet alphabet;
   const std::vector<Symbol> labels = DefaultLabels(&alphabet, 8);
@@ -523,6 +480,197 @@ TEST(ExecDownwardTest, TransferEntriesArePinned) {
         &alphabet));
   const Tree tree = Generated(TreeShape::kUniformRecursive, 4096, labels, 8);
   EXPECT_EQ(ExpectSweepAgrees(tree, query, alphabet), 92);
+}
+
+// ---------------------------------------------------------------- dispatch
+
+// perfbench's splitmix64 of (seed, salt), which seeds its big_batch trees.
+uint64_t BigBatchMix(uint64_t seed, uint64_t salt) {
+  uint64_t z = seed * 0x9E3779B97F4A7C15ULL + salt + 0x9E3779B97F4A7C15ULL;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+TEST(ExecDispatchTest, ServingBatchCellsPickTheirEngineByTreeHeight) {
+  // perfbench's big_batch at seed 1: four 262,144-node trees (uniform,
+  // caterpillar, 4-ary, comb) and its texts 0, 1 and 7, the downward ones
+  // with a star loop. Eval picks the engine before running: the sweep on
+  // the two deep trees, where not one register-machine instruction runs,
+  // and the register machine on the two shallow ones.
+  Alphabet alphabet;
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 8);
+  const TreeShape shapes[] = {TreeShape::kUniformRecursive,
+                              TreeShape::kCaterpillar, TreeShape::kFullKAry,
+                              TreeShape::kComb};
+  const int heights[] = {26, 105070, 9, 131072};
+  const char* texts[] = {
+      "<(child[not a])*[b]>",
+      "<(child[not (a and <child[b and <child[c]>]>)])*"
+      "[d and <child[e and <child[f]>]>]>",
+      "W(a or <prec[b]>) and <(child/child)*[g]>",
+  };
+  std::vector<std::shared_ptr<const Program>> programs;
+  for (const char* text : texts) {
+    programs.push_back(Program::Compile(SimplifyNode(N(text, &alphabet))));
+    ASSERT_NE(programs.back()->downward(), nullptr) << text;
+  }
+  for (int t = 0; t < 4; ++t) {
+    TreeGenOptions options;
+    options.num_nodes = 262144;
+    options.shape = shapes[t];
+    options.arity = 4;
+    Rng rng(BigBatchMix(1, static_cast<uint64_t>(t)));
+    const Tree tree = GenerateTree(options, labels, &rng);
+    ASSERT_EQ(tree.Height(), heights[t]);
+    const bool deep = t == 1 || t == 3;
+    ExecEngine engine(tree);
+    for (size_t q = 0; q < programs.size(); ++q) {
+      const Program& program = *programs[q];
+      const Bitset answer = engine.Eval(program);
+      const ExecEngine::RunInfo& run = engine.last_run();
+      EXPECT_EQ(run.dispatch,
+                deep ? ExecEngine::RunInfo::Dispatch::kDownwardSweep
+                     : ExecEngine::RunInfo::Dispatch::kRegisterMachine)
+          << texts[q] << " on tree " << t;
+      EXPECT_EQ(run.tree_height, heights[t]);
+      EXPECT_EQ(run.star_round_bound, program.StarRoundBound(heights[t]));
+      EXPECT_EQ(run.star_round_budget, program.star_round_budget());
+      EXPECT_EQ(run.star_round_bound > run.star_round_budget, deep);
+      if (deep) {
+        EXPECT_EQ(run.instrs_executed, 0) << texts[q] << " on tree " << t;
+        EXPECT_EQ(run.star_rounds_used, 0);
+        EXPECT_GT(run.transfer_entries, 0);
+      } else {
+        EXPECT_GT(run.instrs_executed, 0) << texts[q] << " on tree " << t;
+        EXPECT_LE(run.star_rounds_used, run.star_round_bound);
+      }
+      EXPECT_EQ(answer, deep ? engine.EvalGeneral(program)
+                             : engine.EvalDownward(program))
+          << texts[q] << " on tree " << t;
+    }
+  }
+}
+
+TEST(ExecDispatchTest, StarRoundsStayWithinTheHeightBound) {
+  // On a downward plan a star only climbs, so a register-machine run takes
+  // at most R(H) star rounds (DESIGN §10.4) — the theorem Eval's dispatch
+  // rests on. Raw generated downward queries keep their star loops (the
+  // simplifier would fold most bare-axis stars into closure axes).
+  Alphabet alphabet;
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 4);
+  std::vector<Tree> trees;
+  for (const TreeShape shape :
+       {TreeShape::kUniformRecursive, TreeShape::kChain,
+        TreeShape::kCaterpillar, TreeShape::kComb}) {
+    trees.push_back(Generated(shape, 200, labels, 11));
+  }
+  Rng rng(12);
+  int checked = 0;
+  for (int i = 0; checked < 150 && i < 20000; ++i) {
+    const NodePtr query = GenerateNode(
+        OptionsForFragment(QueryFragment::kDownward, 4), labels, &rng);
+    auto program = Program::Compile(query);
+    ASSERT_NE(program->downward(), nullptr);
+    if (program->StarRoundBound(0) == 0) continue;  // no star loop
+    ++checked;
+    for (const Tree& tree : trees) {
+      ExecEngine engine(tree);
+      const Bitset answer = engine.EvalGeneral(*program);
+      EXPECT_LE(engine.last_run().star_rounds_used,
+                program->StarRoundBound(tree.Height()))
+          << NodeToString(*query, alphabet) << " at height " << tree.Height();
+      EXPECT_EQ(engine.Eval(*program), answer)
+          << NodeToString(*query, alphabet);
+    }
+  }
+  EXPECT_EQ(checked, 150);
+
+  // The bound is tight: a star seeded at the bottom of a chain climbs one
+  // node per round, H rounds, and one more finds nothing new. With closure
+  // collapse off the bare step stays a star loop.
+  axis::SetClosureCollapseForTesting(false);
+  const NodePtr query = N("<(child)*[b]>", &alphabet);
+  auto program = Program::Compile(query);
+  axis::ResetClosureCollapseForTesting();
+  const Symbol a = alphabet.Intern("a");
+  const Symbol b = alphabet.Intern("b");
+  TreeBuilder builder;
+  for (int i = 0; i < 3000; ++i) builder.Begin(i == 2999 ? b : a);
+  for (int i = 0; i < 3000; ++i) builder.End();
+  const Tree chain = std::move(builder).Finish().ValueOrDie();
+  ExecEngine engine(chain);
+  const Bitset answer = engine.EvalGeneral(*program);
+  EXPECT_EQ(engine.last_run().star_rounds_used, 3000);
+  EXPECT_EQ(program->StarRoundBound(chain.Height()), 3000);
+  EXPECT_EQ(engine.Eval(*program), answer);
+  EXPECT_TRUE(engine.last_used_downward());
+  EXPECT_EQ(answer, Interpret(chain, query));
+}
+
+TEST(ExecDispatchTest, HeightLimitIsTheLargestHeightWithinBudget) {
+  // R(H) = Σ over star loops of (max(H, 1) + 1)^depth; the limit is the
+  // largest H with R(H) ≤ 32 + 2·bit_ops, INT_MAX without a star loop.
+  Alphabet alphabet;
+  auto program = Program::Compile(N("<(child[a])*[b]>", &alphabet));
+  ASSERT_NE(program->downward(), nullptr);
+  const int64_t budget = program->star_round_budget();
+  EXPECT_EQ(budget, 32 + 2 * program->stats().bit_ops);
+  EXPECT_EQ(program->StarRoundBound(0), 2);
+  EXPECT_EQ(program->StarRoundBound(9), 10);
+  EXPECT_EQ(program->register_height_limit(), budget - 1);
+
+  program = Program::Compile(N("<(child[<(child[a])*[b]>])*[c]>", &alphabet));
+  EXPECT_EQ(program->StarRoundBound(9), 10 + 10);  // the inner star is hoisted
+  program = Program::Compile(N("<(child[a]/(child[b])*)*[c]>", &alphabet));
+  EXPECT_EQ(program->StarRoundBound(9), 10 + 100);
+  const int limit = program->register_height_limit();
+  EXPECT_LE(program->StarRoundBound(limit), program->star_round_budget());
+  EXPECT_GT(program->StarRoundBound(limit + 1), program->star_round_budget());
+  program = Program::Compile(
+      N("<(child[a]/(child[b]/(child[c])*)*)*[d]>", &alphabet));
+  EXPECT_EQ(program->StarRoundBound(9), 10 + 100 + 1000);
+  EXPECT_EQ(program->StarRoundBound(1 << 30),  // (2^30 + 1)^3 saturates
+            std::numeric_limits<int64_t>::max());
+
+  program = Program::Compile(N("<desc[a]> and not <child[b]>", &alphabet));
+  EXPECT_EQ(program->StarRoundBound(100000), 0);
+  EXPECT_EQ(program->register_height_limit(),
+            std::numeric_limits<int>::max());
+}
+
+TEST(ExecDispatchTest, NestedPlusCompilesLinearly) {
+  // The parser builds p+ as p/p* with p shared; each `+` is one strict
+  // star, so k nested `+` cost O(k) instructions (lowered as a sequence,
+  // p would be lowered once per target register: 3·2^k + 1).
+  Alphabet alphabet;
+  std::string text = "child[not c]";
+  for (int k = 0; k < 16; ++k) text = "(" + text + ")+";
+  text = "<" + text + "[b]>";
+  auto query = Query::Parse(text, &alphabet);
+  ASSERT_TRUE(query.ok()) << query.status().message();
+  for (const NodePtr& plan : {query->expr(), query->plan()}) {
+    auto program = Program::Compile(plan);
+    EXPECT_LE(program->code().size(), 2u * 16 + 8)
+        << program->ToString(alphabet);
+    ASSERT_NE(program->downward(), nullptr);
+    EXPECT_LE(program->downward()->code().size(), 2u * 16 + 8);
+    int selected = 0;
+    for (const Tree& tree : CorpusTrees(&alphabet, 3, 12, 13)) {
+      ExecEngine engine(tree);
+      const Bitset expected = query->Select(tree);
+      selected += expected.Count();
+      EXPECT_EQ(engine.EvalGeneral(*program), expected);
+      EXPECT_EQ(engine.EvalDownward(*program), expected);
+    }
+    EXPECT_GT(selected, 0);
+  }
+  // p+ keeps the seed out: a leaf labelled b has no child-path to a b.
+  const Tree tree = T("b(a(b), b)", &alphabet);
+  auto program = Program::Compile(N("<(child)+[b]>", &alphabet));
+  ExecEngine engine(tree);
+  EXPECT_EQ(engine.EvalGeneral(*program),
+            Interpret(tree, N("<(child)+[b]>", &alphabet)));
 }
 
 // ---------------------------------------------------------------- W bodies

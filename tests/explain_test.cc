@@ -38,8 +38,8 @@ program: 4 instrs, 3 regs, result r0, main [0,4), dag_hits=0, downward=yes (bit_
   2: r2 = and r0 r1   [execs 1]
   3: r0 = axis aos r2   [execs 1]
 
-dispatch: register_machine
-star rounds: used 0 of budget 42
+dispatch: register_machine (tree height 6: R(H) = 0 <= budget 42)
+star rounds: used 0
 result: 28/64 nodes
 cross-check: interpreter bit-for-bit match
 
@@ -48,7 +48,7 @@ query
   plan_cache.parse_compiled instrs=4 regs=3 dag_hits=0 downward=1
     - plan_cache: text miss, parsed
     - plan_cache: program miss, lowered
-  exec.eval axis.aos.sparse_path=1 axis.aos.touches=28 star_rounds_used=0 star_round_budget=42 instrs_executed=4 result_count=28
+  exec.eval axis.aos.sparse_path=1 axis.aos.touches=28 star_rounds_used=0 tree_height=6 star_round_bound=0 star_round_budget=42 instrs_executed=4 result_count=28
     - dispatch: register_machine
   interpreter.select axis.aos.sparse_path=1 axis.aos.touches=28 result_count=28
 
@@ -138,11 +138,12 @@ TEST(ExplainTest, StarHeavyQueryKeepsTraceAndRegistryConsistent) {
   EXPECT_TRUE(explained->consistent) << explained->rendered;
 }
 
-TEST(ExplainTest, SweepFallbackReportsItsTransferEntries) {
-  // A filtered star whose seed label is rare on a chain blows the
-  // star-round budget; the sweep that re-runs it reports how many
-  // transfer entries it built, in the dispatch line, on the exec.eval
-  // span and in the JSON rendering.
+TEST(ExplainTest, DispatchLineReportsHeightBoundAndTransferEntries) {
+  // A filtered star over a downward plan: R(H) = H + 1 against a budget of
+  // 32 + 2·8 bit ops. On a 4096-node chain (H = 4095) Eval takes the
+  // sweep, which reports the transfer entries it built, in the dispatch
+  // line, on the exec.eval span and in the JSON rendering. On a uniform
+  // tree of the same size (H = 17) it stays on the register machine.
   ExplainOptions options;
   options.query = "<(child[not a])*[l60]>";
   options.gen_nodes = 4096;
@@ -154,10 +155,15 @@ TEST(ExplainTest, SweepFallbackReportsItsTransferEntries) {
   EXPECT_TRUE(explained->match);
   EXPECT_TRUE(explained->consistent) << explained->rendered;
   const std::string& r = explained->rendered;
-  EXPECT_NE(r.find("dispatch: downward_fallback (transfer_entries=6)\n"),
+  EXPECT_NE(r.find("dispatch: downward_sweep (tree height 4095: R(H) = 4096 "
+                   "> budget 48; transfer_entries=6)\n"),
             std::string::npos)
       << r;
-  EXPECT_NE(r.find(" transfer_entries=6 "), std::string::npos) << r;
+  EXPECT_NE(r.find(" tree_height=4095 star_round_bound=4096 "
+                   "star_round_budget=48 instrs_executed=0 "
+                   "transfer_entries=6 "),
+            std::string::npos)
+      << r;
 
   options.json = true;
   auto json = ExplainQuery(options);
@@ -167,6 +173,20 @@ TEST(ExplainTest, SweepFallbackReportsItsTransferEntries) {
   EXPECT_NE(json->rendered.find("\"transfer_entries\": 6,"),
             std::string::npos)
       << json->rendered;
+  EXPECT_NE(json->rendered.find("\"star_round_bound\": 4096,"),
+            std::string::npos)
+      << json->rendered;
+
+  options.json = false;
+  options.gen_shape = "uniform";
+  auto shallow = ExplainQuery(options);
+  ASSERT_TRUE(shallow.ok()) << shallow.status().message();
+  EXPECT_TRUE(shallow->match);
+  EXPECT_TRUE(shallow->consistent) << shallow->rendered;
+  EXPECT_NE(shallow->rendered.find("dispatch: register_machine (tree height "
+                                   "17: R(H) = 18 <= budget 48)\n"),
+            std::string::npos)
+      << shallow->rendered;
 }
 
 TEST(ExplainTest, TruncatedTraceIsReportedInconsistent) {

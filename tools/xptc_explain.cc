@@ -3,7 +3,7 @@
 // lowering, hybrid compiled execution, interpreter cross-check — under one
 // traced RequestScope, and renders the annotated plan dump: per-instruction
 // execution counts, the dispatch decision (register machine vs. one-pass
-// downward sweep, with the star-round budget that triggered a fallback),
+// downward sweep, with the tree height and R(H) against the budget),
 // star fixpoint rounds, per-axis-kernel node touches, and cache-hit
 // provenance, all reconciled bit for bit against the metrics registry's
 // delta for the query. See DESIGN.md §11 and README for usage.
