@@ -1,10 +1,12 @@
-// E11 — Throughput layer: work-stealing BatchEngine, PlanCache,
+// E11 — Throughput layer: fork-join BatchEngine, PlanCache,
 // and per-tree cross-query memoisation (TreeCache).
 //
 // Unlike E2–E9 this experiment measures no claim from the paper; it
 // measures the serving layer built on top of the paper's evaluator. Three
 // numbers matter:
 //   1. batch queries/sec vs. worker count (cold caches vs. warm caches);
+//      a run computes on its pool's workers plus the calling thread, so
+//      "threads" = workers + 1;
 //   2. warm PlanCache parse throughput vs. cold Query::Parse;
 //   3. a hard bit-for-bit match between BatchEngine results and a
 //      sequential Query::Select loop (the bench exits non-zero on any
@@ -21,8 +23,8 @@
 //    "plan_cache": {"hits": int, "misses": int, "evictions": int,
 //                   "program_hits": int, "program_misses": int,
 //                   "lowering_ms": f},
-//    "workers": [{"workers": int, "cold_qps": f, "warm_qps": f,
-//                 "warm_speedup_vs_1": f}, ...],
+//    "workers": [{"workers": int, "threads": int, "cold_qps": f,
+//                 "warm_qps": f, "warm_speedup_vs_1": f}, ...],
 //    "match": bool}
 
 #include <benchmark/benchmark.h>
@@ -48,9 +50,9 @@ namespace {
 // A serving-style workload: duplicate texts (plan-cache hits), shared W
 // bodies across distinct queries (structural TreeCache hits), and a spread
 // of cheap label tests next to W-heavy queries (uneven task costs, which
-// is what work stealing is for). The surviving W bodies use non-downward
-// axes (foll/right) so `W φ ≡ φ` cannot rewrite them away; a few downward
-// Ws are kept to exercise the dialect-shrinking rewrite too.
+// the pool's one-at-a-time task claims absorb). The surviving W bodies use
+// non-downward axes (foll/right) so `W φ ≡ φ` cannot rewrite them away; a
+// few downward Ws are kept to exercise the dialect-shrinking rewrite too.
 const char* kWorkload[] = {
     "<child[a]>",
     "<desc[b]>",
@@ -201,7 +203,8 @@ void ThroughputReport(Corpus& corpus, std::ostringstream* json) {
               "sequential baseline %.1f qps):\n",
               corpus.trees.size(), corpus.queries.size(), pairs,
               pairs / seq_seconds);
-  bench::PrintRow({"workers", "cold qps", "warm qps", "warm vs 1w"});
+  bench::PrintRow(
+      {"workers", "threads", "cold qps", "warm qps", "warm vs 1w"});
 
   std::vector<int> worker_counts = smoke ? std::vector<int>{1, 2}
                                          : std::vector<int>{1, 2, 4, 8};
@@ -248,10 +251,12 @@ void ThroughputReport(Corpus& corpus, std::ostringstream* json) {
     const double warm_qps = pairs / warm_seconds;
     if (workers == 1) warm_qps_1 = warm_qps;
     const double vs_one = warm_qps_1 > 0 ? warm_qps / warm_qps_1 : 0;
-    bench::PrintRow({std::to_string(workers), bench::Fmt(cold_qps, 0),
-                     bench::Fmt(warm_qps, 0), bench::Fmt(vs_one, 2)});
+    bench::PrintRow({std::to_string(workers), std::to_string(workers + 1),
+                     bench::Fmt(cold_qps, 0), bench::Fmt(warm_qps, 0),
+                     bench::Fmt(vs_one, 2)});
     if (wi > 0) *json << ", ";
     *json << "{\"workers\": " << workers
+          << ", \"threads\": " << workers + 1
           << ", \"cold_qps\": " << bench::Fmt(cold_qps, 1)
           << ", \"warm_qps\": " << bench::Fmt(warm_qps, 1)
           << ", \"warm_speedup_vs_1\": " << bench::Fmt(vs_one, 2) << "}";
@@ -317,8 +322,8 @@ int main(int argc, char** argv) {
   xptc::bench::UpdateBenchJson(xptc::bench::ThroughputJsonPath(),
                                "exp11_throughput", json.str());
   // The full registry export rides along: the section fields above are a
-  // named slice of these counters (PlanCache/TreeCache/ThreadPool/Batch
-  // stats() all read the same registry-backed counters).
+  // named slice of these counters (PlanCache/TreeCache/Batch stats() all
+  // read the same registry-backed counters).
   xptc::bench::UpdateBenchJson(xptc::bench::ThroughputJsonPath(),
                                "obs_registry",
                                xptc::obs::Registry::Default().Json());

@@ -189,8 +189,12 @@ Bitset ExecEngine::RunSweep(const Program& program,
   BeginRun(program, dispatch);
   last_run_.instr_execs.clear();
   if (DeadlineExpired()) return AbandonRun();
-  Bitset result = program.downward()->Run(tree_, &sweep_);
-  last_run_.transfer_entries = sweep_.entries;
+  // One sweep buffer per thread, not per engine: a thread runs one sweep
+  // at a time, and a sweep's n-word aggregate is the largest buffer an
+  // engine would otherwise keep for its lifetime. `Run` resizes it.
+  thread_local DownwardProgram::SweepState sweep;
+  Bitset result = program.downward()->Run(tree_, &sweep);
+  last_run_.transfer_entries = sweep.entries;
   FinishRun(&result);
   return result;
 }

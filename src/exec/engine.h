@@ -20,11 +20,12 @@ namespace exec {
 
 /// Executes compiled `Program`s against one tree. Owns all per-run mutable
 /// state — the physical bitset register file, a spare register bank for
-/// `W` bodies, the per-tree label index, the `W` memo and the downward
-/// sweep's aggregate buffer and transfer table — so repeated runs (the
-/// batch-engine steady state) allocate nothing: registers are overwritten
-/// in place, and the file only grows when a program needs more registers
-/// than any before it.
+/// `W` bodies, the per-tree label index and the `W` memo — so repeated
+/// runs (the batch-engine steady state) allocate nothing: registers are
+/// overwritten in place, and the file only grows when a program needs more
+/// registers than any before it. The downward sweep's aggregate buffer and
+/// transfer table are kept per thread instead, shared by every engine the
+/// thread runs, and grow to the largest tree it has swept.
 ///
 /// `W φ` is computed here too: φ's sub-program runs bottom-up over every
 /// subtree window [v, SubtreeEnd(v)) (see ComputeWithin), and the result
@@ -189,7 +190,6 @@ class ExecEngine {
   // after first touch), else locally built sets.
   std::unordered_map<Symbol, const Bitset*> label_refs_;
   std::unordered_map<Symbol, Bitset> local_labels_;
-  DownwardProgram::SweepState sweep_;  // the downward sweep's δ table et al.
   // W memo of an engine without a TreeCache: body hash → the structurally
   // distinct bodies with that hash (pinned) and their sets. Deques keep
   // element addresses stable across growth.

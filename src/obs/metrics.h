@@ -167,7 +167,7 @@ struct Snapshot {
 /// Process-wide metric registry. Named metrics are created on first touch
 /// and never destroyed (stable references — hot paths look a metric up
 /// once and keep the pointer). Components that keep *per-instance* counters
-/// (PlanCache, ThreadPool, BatchEngine — their `stats()` accessors are API)
+/// (PlanCache, BatchEngine — their `stats()` accessors are API)
 /// register a collector instead: a callback that folds the instance's
 /// counters into each snapshot under registry-level names, summed across
 /// instances.

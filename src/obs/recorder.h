@@ -96,22 +96,24 @@ class FlightRecorder {
   std::function<void(const RequestTrace&)> log_;
 };
 
-/// Per-pool-worker span buffers for one request's BatchEngine fan-out:
-/// each worker appends to its own vector with no synchronisation (the
-/// ParallelFor worker id is the index), and the caller merges after the
-/// pool barrier. This is what lifts the one-thread limit of a trace's
+/// Per-worker span buffers for one request's BatchEngine fan-out: each
+/// worker appends to its own vector with no synchronisation (the
+/// ParallelFor worker id is the index), and the caller merges after
+/// `ParallelFor` returns. `num_workers` is the pool's width; one more row
+/// holds the spans of the calling thread, which runs tasks with worker id
+/// `num_workers`. This is what lifts the one-thread limit of a trace's
 /// span tree for the serving path.
 class BatchTraceSink {
  public:
   BatchTraceSink(uint64_t request_id, int num_workers)
       : request_id_(request_id),
-        per_worker_(static_cast<size_t>(num_workers)) {}
+        per_worker_(static_cast<size_t>(num_workers) + 1) {}
 
   uint64_t request_id() const { return request_id_; }
   void Add(int worker, const WorkerSpan& span) {
     per_worker_[static_cast<size_t>(worker)].push_back(span);
   }
-  /// Appends every worker's spans to `out` (call after the pool barrier).
+  /// Appends every worker's spans to `out` (call after the run returns).
   void MergeInto(std::vector<WorkerSpan>* out) const {
     for (const auto& row : per_worker_) {
       out->insert(out->end(), row.begin(), row.end());

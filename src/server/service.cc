@@ -268,8 +268,9 @@ ServiceResponse QueryService::HandleQuery(const ServiceRequest& req,
   resp.results.resize(tree_ids.size());
   if (tree_ids.size() > 1) {
     // Multi-tree queries coalesce through the BatchEngine — the trees fan
-    // out across the batch pool instead of running sequentially on this
-    // worker, and share its per-tree engines/caches with /batch traffic.
+    // out across the batch pool and this worker instead of running
+    // sequentially on it, and share its per-tree caches with /batch
+    // traffic.
     // Bit-for-bit identical to the per-tree loop below (server_test pins
     // this). A traced request hands the engine a per-worker span sink, so the
     // merged RequestTrace accounts for every fan-out task exactly once.

@@ -20,8 +20,10 @@ namespace server {
 struct ServiceOptions {
   /// Execution workers the service is sized for: one per server worker
   /// thread (`Handle`'s `worker` argument must be in [0, num_workers)),
-  /// and also the width of the owned `BatchEngine`'s pool. <= 0 selects
-  /// hardware concurrency.
+  /// and also the width of the owned `BatchEngine`'s pool. A batch runs on
+  /// the pool threads and on the server worker that received it, so up to
+  /// 2 × num_workers threads compute at once. <= 0 selects hardware
+  /// concurrency.
   int num_workers = 0;
 
   /// Plan-cache capacity (distinct query texts resident).

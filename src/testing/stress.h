@@ -64,7 +64,7 @@ struct StressReport {
 ///
 /// The races this targets (under TSan): PlanCache LRU eviction,
 /// TreeCache shard insertion (`W` memo + label sets), BatchEngine engine
-/// row growth, and ThreadPool work stealing.
+/// row growth and caller-row reuse, and ThreadPool fork-join calls.
 StressReport RunConcurrencyStress(const StressOptions& options = {});
 
 }  // namespace testing

@@ -30,19 +30,12 @@ BatchEngine::BatchEngine(BatchOptions options) {
     owned_pool_ = std::make_unique<ThreadPool>(options.num_workers);
     pool_ = owned_pool_.get();
   }
-  engines_.resize(static_cast<size_t>(pool_->num_workers()));
+  pool_rows_.resize(static_cast<size_t>(pool_->num_workers()));
   collector_ =
       obs::Registry::Default().AddCollector([this](obs::Snapshot* snap) {
         snap->AddCounter("batch.runs", runs_.value());
         snap->AddCounter("batch.tasks", tasks_.value());
       });
-}
-
-BatchEngine::~BatchEngine() {
-  // Engines reference the TreeCaches; drain in-flight tasks before
-  // members destruct (owned pool joins here; external pools must be idle
-  // on this engine's tasks, which Run guarantees by blocking).
-  if (owned_pool_ != nullptr) owned_pool_.reset();
 }
 
 int BatchEngine::AddTree(std::shared_ptr<const Tree> tree) {
@@ -53,16 +46,29 @@ int BatchEngine::AddTree(std::shared_ptr<const Tree> tree) {
   return index;
 }
 
-void BatchEngine::EnsureEngineRows() {
+BatchEngine::EngineRow* BatchEngine::AcquireCallerRow() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& row : engines_) {
+  for (EngineRow& row : pool_rows_) {
     if (row.size() < trees_.size()) row.resize(trees_.size());
   }
+  EngineRow* row;
+  if (free_rows_.empty()) {
+    row = &caller_rows_.emplace_back();
+  } else {
+    row = free_rows_.back();
+    free_rows_.pop_back();
+  }
+  if (row->size() < trees_.size()) row->resize(trees_.size());
+  return row;
 }
 
-exec::ExecEngine* BatchEngine::EngineFor(int worker, int tree_index) {
-  auto& slot = engines_[static_cast<size_t>(worker)]
-                       [static_cast<size_t>(tree_index)];
+void BatchEngine::ReleaseCallerRow(EngineRow* row) {
+  std::lock_guard<std::mutex> lock(mu_);
+  free_rows_.push_back(row);
+}
+
+exec::ExecEngine* BatchEngine::EngineFor(EngineRow* row, int tree_index) {
+  auto& slot = (*row)[static_cast<size_t>(tree_index)];
   if (slot == nullptr) {
     slot = std::make_unique<exec::ExecEngine>(
         *trees_[static_cast<size_t>(tree_index)],
@@ -97,19 +103,28 @@ std::vector<std::vector<Bitset>> BatchEngine::RunCompiledOnTrees(
   if (num_t == 0 || num_q == 0) return results;
   runs_.Inc();
   tasks_.Add(num_t * num_q);
-  EnsureEngineRows();
+  EngineRow* caller_row = AcquireCallerRow();
+  const int caller = pool_->num_workers();
   std::atomic<bool> expired{false};
   const uint64_t flight_id = obs::CurrentFlightId();
   pool_->ParallelFor(num_t * num_q, [&](int task, int worker) {
     // Attributes journal events fired inside the engine (deadline probes)
     // to the request this fan-out belongs to, across pool threads. No span
-    // tree: a task's record in the request trace is its WorkerSpan.
+    // tree, on the calling thread either: a task's record in the request
+    // trace is its WorkerSpan.
     obs::RequestScope scope(flight_id, nullptr);
     obs::TraceSpan span("batch.task", &TaskFlame());
-    const int ti = task / num_q;
-    const int q = task % num_q;
+    // Query-major: tasks claimed at the same moment are adjacent indices,
+    // so they run one query on different trees, not different queries on
+    // one tree, whose TreeCache would see concurrent misses on the W
+    // bodies those queries share and compute each of them more than once.
+    const int ti = task % num_t;
+    const int q = task / num_t;
     const int t = tree_indices[static_cast<size_t>(ti)];
-    exec::ExecEngine* engine = EngineFor(worker, t);
+    EngineRow* row = worker == caller
+                         ? caller_row
+                         : &pool_rows_[static_cast<size_t>(worker)];
+    exec::ExecEngine* engine = EngineFor(row, t);
     // Armed per task (engines are shared across concurrent calls; between
     // tasks they carry no deadline). Once one task has expired, the rest of
     // this request is already lost — skip straight to empty results.
@@ -144,6 +159,7 @@ std::vector<std::vector<Bitset>> BatchEngine::RunCompiledOnTrees(
     }
     engine->SetDeadline(0);
   });
+  ReleaseCallerRow(caller_row);
   if (deadline_expired != nullptr) {
     *deadline_expired = expired.load(std::memory_order_relaxed);
   }

@@ -180,6 +180,9 @@ QueryGenOptions OptionsForFragment(QueryFragment fragment, int max_depth) {
       break;
     case QueryFragment::kDownward:
       options.downward_only = true;
+      // Bare-axis stars fold to closure axes; without this, few downward
+      // plans keep a star loop for the dispatch and the sweep to run.
+      options.require_star_loop = true;
       break;
   }
   return options;
@@ -207,6 +210,21 @@ NodePtr GenerateNode(const QueryGenOptions& options,
     // true starred reachability test keeps the original semantics visible.
     node = MakeAnd(std::move(node),
                    MakeSome(MakeStar(MakeAxis(RandomAxis(options, rng)))));
+  }
+  if (options.require_star_loop && options.allow_star) {
+    // ψ and χ lead with a label test: a generated filter alone is often
+    // equivalent to true, and then the star folds or the conjunct vanishes.
+    auto label = [&] {
+      return MakeLabel(labels[rng->NextBelow(labels.size())]);
+    };
+    NodePtr psi = rng->NextBool(0.5) ? label() : MakeNot(label());
+    NodePtr chi = label();  // two statements: both draw from rng, in order
+    chi = MakeAnd(std::move(chi), GenNode(options, labels, 1, rng));
+    const Axis axis = rng->NextBool(0.5) ? Axis::kChild : Axis::kDescendant;
+    PathPtr step = MakeFilter(MakeAxis(axis), std::move(psi));
+    node = MakeAnd(std::move(node),
+                   MakeSome(MakeFilter(MakeStar(std::move(step)),
+                                       std::move(chi))));
   }
   return node;
 }

@@ -33,6 +33,12 @@ struct QueryGenOptions {
   /// gate is off.
   bool require_star = false;    // ≥ 1 Kleene star in generated paths
   bool require_within = false;  // ≥ 1 `W` in generated node expressions
+  /// Conjoins ⟨(child[ψ])*[χ]⟩ (or desc) to every generated node
+  /// expression, ψ a label test or its negation and χ a label test and a
+  /// generated expression: a star over a filtered step, which the
+  /// simplifier cannot fold into a closure axis, so the plan keeps a star
+  /// loop. Ignored when allow_star is off.
+  bool require_star_loop = false;
 
   /// Probability of attaching a filter predicate to a generated step.
   double filter_prob = 0.4;

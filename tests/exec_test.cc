@@ -482,6 +482,38 @@ TEST(ExecDownwardTest, TransferEntriesArePinned) {
   EXPECT_EQ(ExpectSweepAgrees(tree, query, alphabet), 92);
 }
 
+TEST(ExecDownwardTest, OneThreadSweepsThroughEnginesOfEitherSize) {
+  // The sweep's buffers belong to the thread, not the engine: one thread
+  // alternating sweeps between a 64k-node caterpillar's engine and a
+  // 1k-node comb's reuses them from the larger tree to the smaller and
+  // back, across two programs with different transfer tables.
+  Alphabet alphabet;
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 8);
+  const Tree big = Generated(TreeShape::kCaterpillar, 65536, labels, 9);
+  const Tree small = Generated(TreeShape::kComb, 1024, labels, 10);
+  const char* texts[] = {
+      "<(child[not a])*[b]>",
+      "<(child[not (a and <child[b and <child[c]>]>)])*"
+      "[d and <child[e and <child[f]>]>]>",
+  };
+  ExecEngine big_engine(big);
+  ExecEngine small_engine(small);
+  for (const char* text : texts) {
+    const Query query = Query::FromExpr(N(text, &alphabet));
+    const auto program = Program::Compile(query.plan());
+    const Bitset big_expected = query.Select(big);
+    const Bitset small_expected = query.Select(small);
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_EQ(big_engine.Eval(*program), big_expected) << text;
+      EXPECT_EQ(big_engine.last_run().dispatch,
+                ExecEngine::RunInfo::Dispatch::kDownwardSweep);
+      EXPECT_EQ(small_engine.Eval(*program), small_expected) << text;
+      EXPECT_EQ(small_engine.last_run().dispatch,
+                ExecEngine::RunInfo::Dispatch::kDownwardSweep);
+    }
+  }
+}
+
 // ---------------------------------------------------------------- dispatch
 
 // perfbench's splitmix64 of (seed, salt), which seeds its big_batch trees.
@@ -550,6 +582,26 @@ TEST(ExecDispatchTest, ServingBatchCellsPickTheirEngineByTreeHeight) {
           << texts[q] << " on tree " << t;
     }
   }
+}
+
+TEST(ExecDispatchTest, DownwardFragmentPlansKeepAStarLoop) {
+  // The downward fuzz fragment conjoins a star over a filtered step, which
+  // the simplifier cannot fold into a closure axis, so most simplified
+  // plans keep a star loop for the height dispatch and the sweep to run
+  // (without it, about 0.15% did).
+  Alphabet alphabet;
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 4);
+  Rng rng(13);
+  constexpr int kQueries = 500;
+  int with_loop = 0;
+  for (int i = 0; i < kQueries; ++i) {
+    const Query query = Query::FromExpr(GenerateNode(
+        OptionsForFragment(QueryFragment::kDownward, 4), labels, &rng));
+    const auto program = Program::Compile(query.plan());
+    ASSERT_NE(program->downward(), nullptr);
+    if (program->StarRoundBound(0) > 0) ++with_loop;
+  }
+  EXPECT_GE(with_loop, kQueries * 9 / 10);
 }
 
 TEST(ExecDispatchTest, StarRoundsStayWithinTheHeightBound) {

@@ -199,7 +199,7 @@ TEST(RegistryTest, RetiredContributionsAccumulateAcrossInstances) {
 
 TEST(RegistryTest, CollectorsSumAcrossInstances) {
   // Two "instances" publishing under one registry-level name, the
-  // PlanCache/BatchEngine/ThreadPool pattern.
+  // PlanCache/BatchEngine pattern.
   Registry registry;
   auto h1 = registry.AddCollector(
       [](Snapshot* snap) { snap->AddCounter("x.total", 2); });

@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "common/alphabet.h"
+#include "exec/engine.h"
+#include "obs/metrics.h"
 #include "server/protocol.h"
 #include "testing/corpus.h"
 #include "testing/fuzzer.h"
@@ -815,6 +817,17 @@ int main(int argc, char** argv) {
               stats.comparisons, stats.soft_skips);
   for (const auto& [name, runs] : stats.runs) {
     std::printf(" %s=%" PRId64, name.c_str(), runs);
+  }
+  std::printf("\n");
+  // Which engine Eval picked, over every oracle's runs: how much of the
+  // campaign reached each branch of the height dispatch (DESIGN §10.4).
+  using Dispatch = xptc::exec::ExecEngine::RunInfo::Dispatch;
+  std::printf("exec dispatch:");
+  for (Dispatch d : {Dispatch::kRegisterMachine, Dispatch::kDownwardSweep,
+                     Dispatch::kDownwardDirect, Dispatch::kGeneral}) {
+    const char* name = xptc::exec::ExecEngine::DispatchCounterName(d);
+    std::printf(" %s=%" PRId64, name,
+                xptc::obs::Registry::Default().counter(name).value());
   }
   std::printf("\n");
   for (const Finding& finding : result.findings) {
